@@ -1,7 +1,8 @@
 """Exact scalar arithmetic.
 
-Arbitrary-precision rationals (see :mod:`.backend`), the quadratic
-extension Q(sqrt(-3)), l-adic valuations with a proper infinity, and
+Rationals are ``fractions.Fraction`` (a plain int embeds into them).
+This module adds their text format, the quadratic extension
+Q(sqrt(-3)), l-adic valuations with a proper infinity, and
 quadratic-residue symbols (Legendre / Jacobi / Kronecker) together with
 the eta-power character table.
 """
@@ -9,33 +10,61 @@ the eta-power character table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
-
-from .backend import (
-    denominator,
-    format_rational,
-    is_rational,
-    numerator,
-    parse_rational,
-    rational,
-)
 
 __all__ = [
     "INFINITY",
+    "MAX_POWER_BITS",
     "NotLIntegralError",
     "PreconditionError",
     "QuadRational",
     "SQRT_MINUS_3",
+    "as_rational",
+    "check_power_cap",
     "chi_eta",
     "format_quad",
+    "format_rational",
     "is_prime",
     "kronecker_symbol",
     "legendre_symbol",
     "padic_ord",
     "parse_quad",
+    "parse_rational",
     "primes_below",
     "reduce_mod_prime_power",
 ]
+
+
+#: Largest power, in bits, built from outside input (``^`` in expressions,
+#: find_w's ell^v, residue moduli, ``--mod L^K``): about 315,000 decimal
+#: digits.  Uncapped, ``9^9^9`` alone would need about 3.7*10^8.
+MAX_POWER_BITS = 1 << 20
+
+
+def format_rational(x) -> str:
+    """Serialize as ``"<numerator>/<denominator>"``, denominator >= 1."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``"a/b"`` or ``"a"`` (decimal integers, optional sign)."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty rational literal")
+    num_s, sep, den_s = s.partition("/")
+    num = int(num_s)
+    den = int(den_s) if sep else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(num, den)
+
+
+def as_rational(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything else is a TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
 class PreconditionError(ValueError):
@@ -48,6 +77,12 @@ class NotLIntegralError(PreconditionError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+def check_power_cap(base: int, exponent: int, what: str) -> None:
+    """Refuse base^exponent when it would take more than MAX_POWER_BITS bits."""
+    if exponent * base.bit_length() > MAX_POWER_BITS:
+        raise PreconditionError(f"{what} = {base}^{exponent} exceeds the {MAX_POWER_BITS}-bit cap")
 
 
 class _Infinity:
@@ -154,11 +189,11 @@ def padic_ord(x, ell: int):
     ord(num) - ord(den), so e.g. ord_7(-49/8) = 2 and ord_5(1/5) = -1.
     """
     _require_prime(ell, "valuation prime")
-    if not is_rational(x):
+    if not isinstance(x, (int, Fraction)):
         raise TypeError(f"padic_ord expects a rational, got {type(x).__name__}")
     if x == 0:
         return INFINITY
-    return _int_ord(numerator(x), ell) - _int_ord(denominator(x), ell)
+    return _int_ord(x.numerator, ell) - _int_ord(x.denominator, ell)
 
 
 def kronecker_symbol(a: int, m: int) -> int:
@@ -225,21 +260,13 @@ def reduce_mod_prime_power(x, ell: int, k: int) -> int:
     _require_prime(ell)
     if k < 1:
         raise PreconditionError("reduce_mod_prime_power requires k >= 1")
-    num, den = numerator(x), denominator(x)
+    num, den = x.numerator, x.denominator
     if den % ell == 0:
         raise NotLIntegralError(
             f"{format_rational(x)} is not {ell}-integral: {ell} divides the denominator"
         )
     mod = ell**k
     return num * pow(den, -1, mod) % mod
-
-
-def _as_rational(value):
-    if isinstance(value, int):
-        return rational(value)
-    if is_rational(value):
-        return rational(numerator(value), denominator(value))
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
 @dataclass(frozen=True)
@@ -254,8 +281,8 @@ class QuadRational:
     im: object
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _as_rational(self.re))
-        object.__setattr__(self, "im", _as_rational(self.im))
+        object.__setattr__(self, "re", as_rational(self.re))
+        object.__setattr__(self, "im", as_rational(self.im))
 
     @classmethod
     def from_rational(cls, value) -> "QuadRational":
@@ -264,7 +291,7 @@ class QuadRational:
     def _coerce(self, other):
         if isinstance(other, QuadRational):
             return other
-        if is_rational(other):
+        if isinstance(other, (int, Fraction)):
             return QuadRational(other, 0)
         return None
 
@@ -323,7 +350,7 @@ class QuadRational:
     def __eq__(self, other):
         if isinstance(other, QuadRational):
             return self.re == other.re and self.im == other.im
-        if is_rational(other):
+        if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         return NotImplemented
 
@@ -351,12 +378,7 @@ class QuadRational:
         return format_quad(self)
 
 
-def __getattr__(name):
-    # SQRT_MINUS_3 is built on access, not at import, so that the package
-    # still imports under an unusable backend and the CLI can refuse cleanly.
-    if name == "SQRT_MINUS_3":
-        return QuadRational(0, 1)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+SQRT_MINUS_3 = QuadRational(0, 1)
 
 
 def format_quad(x: QuadRational) -> str:

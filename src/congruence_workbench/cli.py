@@ -7,30 +7,20 @@ codes: 0 success/verified, 1 counterexample or inconclusive probe,
 
 Integer flags accept either decimal literals or exact arithmetic
 expressions such as ``(13^12-1)/12``; rational flags accept ``a/b``
-or the same expression syntax.  ``CONGRUENCE_WORKBENCH_THREADS`` caps
-the worker pool used for independent verifications; output is ordered
-deterministically regardless of the setting.  A bad setting of either
-``CONGRUENCE_WORKBENCH_THREADS`` or ``CONGRUENCE_WORKBENCH_BACKEND`` (an
-unknown backend, or ``gmpy2`` when it is not installed) is refused with
-one ``error:`` line on stderr and exit code 2; a bad backend setting is
-refused before the arguments are parsed, so even ``--version`` is.
+or the same expression syntax.  ``--max-prec`` caps the series
+precision of coeffs, eta, verify and sharpness.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import __version__
-from .arith import NotLIntegralError, PreconditionError
-from .backend import BACKEND_NAME, SELECTION_ERROR, format_rational
+from .arith import PreconditionError, check_power_cap, format_rational
 from .congruence import (
-    HypothesisError,
     VerificationStatus,
     build_cw_claim,
     build_remark_claim,
@@ -51,37 +41,16 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PRECONDITION = 2
 
-THREADS_ENV_VAR = "CONGRUENCE_WORKBENCH_THREADS"
+#: the rational type, named in ``--version``
+BACKEND_NAME = "fractions"
 DEFAULT_MAX_PRECISION = 50_000
 DEFAULT_N_MAX = 10
 
 _VISIBLE_COMMANDS = "{coeffs,eta,verify,find-w,sharpness,residues}"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    output: str = "table"
-    out_path: str | None = None
-    max_precision: int = DEFAULT_MAX_PRECISION
-    default_n_max: int = DEFAULT_N_MAX
-    threads: int = 1
-
-
 class UsageError(ValueError):
     pass
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if threads < 1:
-        raise UsageError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return threads
 
 
 def _parse_alpha(text: str):
@@ -107,6 +76,7 @@ def _parse_mod(text: str) -> tuple[int, int]:
         raise UsageError(f"--mod expects L or L^K, got {text!r}")
     if k < 1:
         raise UsageError("--mod exponent must be >= 1")
+    check_power_cap(ell, k, "--mod")
     return ell, k
 
 
@@ -118,7 +88,22 @@ def _emit(line: str, out_path: str | None):
             fh.write(line + "\n")
 
 
-def _build_claim(args, config: CliConfig):
+def _emit_values(args, items, fmt):
+    for n, c in items:
+        if args.output == "jsonl":
+            _emit(json.dumps({"n": n, "value": fmt(c)}, separators=(",", ":")), args.out)
+        else:
+            _emit(f"{n}\t{fmt(c)}", args.out)
+
+
+def _series_prec(args) -> int:
+    prec = args.n + 1
+    if prec > args.max_prec:
+        raise UsageError(f"--n {args.n} needs series precision {prec}, above the cap {args.max_prec}")
+    return prec
+
+
+def _build_claim(args):
     alpha = _parse_alpha(args.alpha)
     family = args.family
     r = _parse_int_flag("--r", args.r)
@@ -142,41 +127,27 @@ def _require(args, name: str) -> int:
     return value
 
 
-def cmd_coeffs(args, config: CliConfig) -> int:
+def cmd_coeffs(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    series = frac_partition_series(alpha, args.n + 1)
+    series = frac_partition_series(alpha, _series_prec(args))
     if args.mod is not None:
         ell, k = _parse_mod(args.mod)
-        series = series_reduce_mod(series, ell, k)
-        fmt = str
+        _emit_values(args, enumerate(series_reduce_mod(series, ell, k).coeffs), str)
     else:
-        fmt = format_rational
-    for n, c in enumerate(series.coeffs):
-        if config.output == "jsonl":
-            _emit(json.dumps({"n": n, "value": fmt(c)}, separators=(",", ":")), config.out_path)
-        else:
-            _emit(f"{n}\t{fmt(c)}", config.out_path)
+        _emit_values(args, enumerate(series.coeffs), format_rational)
     return EXIT_OK
 
 
-def cmd_eta(args, config: CliConfig) -> int:
-    series = eta_power(args.d, args.n + 1)
-    for n, c in series.nonzero_items():
-        if config.output == "jsonl":
-            _emit(
-                json.dumps({"n": n, "value": format_rational(c)}, separators=(",", ":")),
-                config.out_path,
-            )
-        else:
-            _emit(f"{n}\t{format_rational(c)}", config.out_path)
+def cmd_eta(args) -> int:
+    _emit_values(args, eta_power(args.d, _series_prec(args)).nonzero_items(), format_rational)
     return EXIT_OK
 
 
-def cmd_verify(args, config: CliConfig) -> int:
-    claim = _build_claim(args, config)
-    n_max = args.nmax if args.nmax is not None else config.default_n_max
-    report = verify_claim(claim, n_max, max_precision=config.max_precision)
-    _emit(certificate_line(report), config.out_path)
+def cmd_verify(args) -> int:
+    claim = _build_claim(args)
+    n_max = args.nmax if args.nmax is not None else DEFAULT_N_MAX
+    report = verify_claim(claim, n_max, max_precision=args.max_prec)
+    _emit(certificate_line(report), args.out)
     if report.status is VerificationStatus.VERIFIED_IN_RANGE:
         return EXIT_OK
     if report.status is VerificationStatus.COUNTEREXAMPLE:
@@ -184,22 +155,22 @@ def cmd_verify(args, config: CliConfig) -> int:
     return EXIT_PRECONDITION
 
 
-def cmd_find_w(args, config: CliConfig) -> int:
-    _emit(str(find_w(args.ell, args.v)), config.out_path)
+def cmd_find_w(args) -> int:
+    _emit(str(find_w(args.ell, args.v)), args.out)
     return EXIT_OK
 
 
-def cmd_sharpness(args, config: CliConfig) -> int:
-    claim = _build_claim(args, config)
-    n_max = args.nmax if args.nmax is not None else config.default_n_max
-    witness = sharpness_probe(claim, n_max, max_precision=config.max_precision)
+def cmd_sharpness(args) -> int:
+    claim = _build_claim(args)
+    n_max = args.nmax if args.nmax is not None else DEFAULT_N_MAX
+    witness = sharpness_probe(claim, n_max, max_precision=args.max_prec)
     if witness is None:
-        if config.output == "jsonl":
-            _emit(json.dumps({"status": "inconclusive"}, separators=(",", ":")), config.out_path)
+        if args.output == "jsonl":
+            _emit(json.dumps({"status": "inconclusive"}, separators=(",", ":")), args.out)
         else:
-            _emit("inconclusive", config.out_path)
+            _emit("inconclusive", args.out)
         return EXIT_NEGATIVE
-    if config.output == "jsonl":
+    if args.output == "jsonl":
         _emit(
             json.dumps(
                 {
@@ -210,84 +181,40 @@ def cmd_sharpness(args, config: CliConfig) -> int:
                 },
                 separators=(",", ":"),
             ),
-            config.out_path,
+            args.out,
         )
     else:
-        _emit(
-            f"{witness.n}\t{format_rational(witness.value)}\tord={claim.modulus_power}",
-            config.out_path,
-        )
+        _emit(f"{witness.n}\t{format_rational(witness.value)}\tord={claim.modulus_power}", args.out)
     return EXIT_OK
 
 
-def cmd_residues(args, config: CliConfig) -> int:
+def cmd_residues(args) -> int:
     for r in find_residues(args.d, args.ell, args.ord, args.count):
-        _emit(str(r), config.out_path)
+        _emit(str(r), args.out)
     return EXIT_OK
 
 
-def _seed_example_tasks():
-    """Fixture reproduction: one callable per built-in example."""
-    tasks = []
-
-    def coefficient_fixture(label, alpha_text, n):
-        def run():
-            value = frac_partition_series(evaluate_rational(alpha_text), n + 1).coeff(n)
-            return {"fixture": label, "n": n, "value": format_rational(value)}
-
-        return run
-
-    def verify_fixture(label, build, n_max):
-        def run():
-            report = verify_claim(build(), n_max, max_precision=DEFAULT_MAX_PRECISION)
-            return json.loads(certificate_line(report)) | {"fixture": label}
-
-        return run
-
-    tasks.append(coefficient_fixture("p(-1/8)(5)", "-1/8", 5))
-    tasks.append(coefficient_fixture("p(1/13)(7)", "1/13", 7))
-    tasks.append(
-        verify_fixture("t1-example", lambda: build_t1_claim(evaluate_rational("-1/8"), 6, 7, 5), 10)
+def _seed_example_records():
+    """Fixture reproduction: one record per built-in example, in a fixed order."""
+    for label, alpha_text, n in (("p(-1/8)(5)", "-1/8", 5), ("p(1/13)(7)", "1/13", 7)):
+        value = frac_partition_series(evaluate_rational(alpha_text), n + 1).coeff(n)
+        yield {"fixture": label, "n": n, "value": format_rational(value)}
+    claims = (
+        ("t1-example", build_t1_claim(evaluate_rational("-1/8"), 6, 7, 5), 10),
+        ("t2-example", build_t2_claim(evaluate_rational("1/13"), 5, 7), 10),
+        ("ramanujan-mod-5", build_cw_claim(-1, 4, 5, 4), 100),
     )
-    tasks.append(
-        verify_fixture("t2-example", lambda: build_t2_claim(evaluate_rational("1/13"), 5, 7), 10)
-    )
-    tasks.append(
-        verify_fixture("ramanujan-mod-5", lambda: build_cw_claim(-1, 4, 5, 4), 100)
-    )
-
-    def find_w_fixture():
-        return {"fixture": "find-w", "ell": 13, "v": 1, "w": find_w(13, 1)}
-
-    tasks.append(find_w_fixture)
-
-    def residue_fixture():
-        return {
-            "fixture": "t3-residue",
-            "d": 2,
-            "ell": 13,
-            "ord": 12,
-            "r": find_residues(2, 13, 12, 1)[0],
-        }
-
-    tasks.append(residue_fixture)
-    return tasks
+    for label, claim, n_max in claims:
+        report = verify_claim(claim, n_max, max_precision=DEFAULT_MAX_PRECISION)
+        yield json.loads(certificate_line(report)) | {"fixture": label}
+    yield {"fixture": "find-w", "ell": 13, "v": 1, "w": find_w(13, 1)}
+    yield {"fixture": "t3-residue", "d": 2, "ell": 13, "ord": 12, "r": find_residues(2, 13, 12, 1)[0]}
 
 
-def cmd_seed_examples(args, config: CliConfig) -> int:
-    tasks = _seed_example_tasks()
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda task: task(), tasks))
-    else:
-        results = [task() for task in tasks]
-    for record in results:
-        _emit(json.dumps(record, separators=(",", ":")), config.out_path)
+def cmd_seed_examples(args) -> int:
+    for record in _seed_example_records():
+        _emit(json.dumps(record, separators=(",", ":")), args.out)
     return EXIT_OK
-
-
-def _int_expr_type(text: str) -> str:
-    return text
 
 
 # Values like "-1/8" or "-(13^12-1)/12" start with a dash; every option here
@@ -311,7 +238,7 @@ def _common_flags() -> argparse.ArgumentParser:
         "--max-prec",
         type=int,
         default=DEFAULT_MAX_PRECISION,
-        help="refuse verifications needing more series precision than this",
+        help="refuse runs needing more series precision than this",
     )
     return common
 
@@ -351,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int)
         p.add_argument("--ell", type=int)
         p.add_argument("--v", type=int, help="modulus exponent for --family t3")
-        p.add_argument("--r", required=True, type=_int_expr_type, help="residue (literal or expression)")
+        p.add_argument("--r", required=True, help="residue (literal or expression)")
         p.add_argument("--nmax", type=int, help=f"range bound (default {DEFAULT_N_MAX})")
         p.set_defaults(handler=handler)
 
@@ -374,26 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if SELECTION_ERROR is not None:
-        print(f"error: {SELECTION_ERROR}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    # Exact values may pass Python's default 4300-digit limit on int-to-str
+    # conversion; --max-prec and MAX_POWER_BITS already bound their size.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = CliConfig(
-            output=args.output,
-            out_path=args.out,
-            max_precision=args.max_prec,
-            threads=_threads_from_env(),
-        )
-        return args.handler(args, config)
-    except (UsageError, HypothesisError, NotLIntegralError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ExpressionError as exc:
+        return args.handler(args)
+    except (UsageError, PreconditionError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -29,12 +29,13 @@ from .arith import (
     INFINITY,
     NotLIntegralError,
     PreconditionError,
+    as_rational,
+    check_power_cap,
+    format_rational,
     is_prime,
     legendre_symbol,
     padic_ord,
 )
-from .backend import denominator, format_rational, is_rational, numerator, rational
-from .forms import a2_prime_power_iter
 from .qseries import extract_progression, frac_partition_series, series_reduce_mod
 
 __all__ = [
@@ -91,14 +92,6 @@ class PrecisionCapExceeded(PreconditionError):
     """The requested verification needs more series precision than allowed."""
 
 
-def _as_rational(alpha):
-    if isinstance(alpha, int):
-        return rational(alpha)
-    if is_rational(alpha):
-        return rational(numerator(alpha), denominator(alpha))
-    raise TypeError("alpha must be rational")
-
-
 @dataclass(frozen=True)
 class CongruenceClaim:
     """p_alpha(ell^e * n + r) == 0 (mod ell^modulus_power) for all n >= 0."""
@@ -112,7 +105,7 @@ class CongruenceClaim:
     modulus_power: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_rational(self.alpha))
+        object.__setattr__(self, "alpha", as_rational(self.alpha))
         object.__setattr__(self, "family", ClaimFamily(self.family))
         if not is_prime(self.ell):
             raise PreconditionError(f"claim prime {self.ell} is not prime")
@@ -122,7 +115,7 @@ class CongruenceClaim:
             raise PreconditionError(
                 f"claim residue r = {self.r} outside [0, {self.ell}^{self.e})"
             )
-        if denominator(self.alpha) % self.ell == 0:
+        if self.alpha.denominator % self.ell == 0:
             raise HypothesisError(
                 "ell_coprime_to_denominator",
                 f"{self.ell} divides the denominator of alpha; values are not {self.ell}-integral",
@@ -198,7 +191,7 @@ def chan_wang_condition(d: int, ell: int, r: int) -> bool:
 
 
 def _check_denominator(alpha, ell: int):
-    if denominator(alpha) % ell == 0:
+    if alpha.denominator % ell == 0:
         raise HypothesisError(
             "ell_coprime_to_denominator",
             f"{ell} divides denominator({format_rational(alpha)})",
@@ -214,11 +207,11 @@ def _canonical_r(r: int, modulus: int) -> int:
 
 def build_cw_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
     """Prime-modulus claim p_alpha(ell*n + r) == 0 (mod ell)."""
-    alpha = _as_rational(alpha)
+    alpha = as_rational(alpha)
     if d not in CHAN_WANG_D:
         raise HypothesisError("d_in_family_list", f"d = {d} not in {CHAN_WANG_D}")
     _check_denominator(alpha, ell)
-    a, b = numerator(alpha), denominator(alpha)
+    a, b = alpha.numerator, alpha.denominator
     if (a - d * b) % ell != 0:
         raise HypothesisError(
             "ell_divides_a_minus_db", f"{ell} does not divide a - d*b = {a - d * b}"
@@ -251,7 +244,7 @@ def _finite_alpha_ord(alpha, d: int, ell: int):
 
 def build_t1_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
     """Squared-progression claim with modulus ell^(ord_ell(alpha - d))."""
-    alpha = _as_rational(alpha)
+    alpha = as_rational(alpha)
     if d not in (4, 6, 8, 10, 14, 26):
         raise HypothesisError("d_in_family_list", f"d = {d} not in (4, 6, 8, 10, 14, 26)")
     if not is_d_satisfactory(d, ell):
@@ -269,7 +262,7 @@ def build_t1_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
 
 def build_t2_claim(alpha, ell: int, r: int) -> CongruenceClaim:
     """d = 2 analogue: modulus ell^(ord_ell(alpha - 2) - 1)."""
-    alpha = _as_rational(alpha)
+    alpha = as_rational(alpha)
     if not is_d_satisfactory(2, ell):
         raise HypothesisError("two_satisfactory", f"{ell} == 1 (mod 12) is excluded")
     _check_denominator(alpha, ell)
@@ -284,29 +277,27 @@ def build_t2_claim(alpha, ell: int, r: int) -> CongruenceClaim:
 
 
 def find_w(ell: int, v: int) -> int:
-    """Smallest w >= 1 with a_2(ell^w) == 0 (mod ell^v).
+    """Smallest w >= 1 with a_2(ell^w) == 0 (mod ell^v), in closed form.
 
-    The two-term recursion on (a_2(ell^i), a_2(ell^(i+1))) mod ell^v is
-    purely periodic, so some index below ell^(2v) hits zero; exceeding
-    that bound would mean the recursion itself is broken, and is raised
-    rather than looped on.
+    a_2 is supported on n == 1 (mod 12), so a_2(ell) = 0 and w = 1 unless
+    ell == 1 (mod 12).  There a_2(ell) = +-2 and chi(ell) = 1, so the Hecke
+    recursion gives a_2(ell^i) = (+-1)^i (i+1), first divisible by ell^v at
+    i = ell^v - 1 (Y. Martin, Multiplicative eta-quotients, Trans. AMS
+    1996).  An ell^v above ``MAX_POWER_BITS`` bits is refused.
     """
     if v < 1:
         raise PreconditionError("find_w requires v >= 1")
-    bound = ell ** (2 * v)
-    it = a2_prime_power_iter(ell, v)
-    next(it)  # a_2(1)
-    for w in range(1, bound + 1):
-        if next(it) == 0:
-            return w
-    raise AssertionError(
-        f"no zero of a_2({ell}^w) mod {ell}^{v} below the period bound {bound}"
-    )
+    if not is_prime(ell):
+        raise PreconditionError(f"{ell} is not prime")
+    if ell % 12 != 1:
+        return 1
+    check_power_cap(ell, v, f"find_w({ell}, {v}) + 1")
+    return ell**v - 1
 
 
 def build_t3_claim(alpha, ell: int, v: int, r: int) -> CongruenceClaim:
     """Every-prime claim p_alpha(ell^(w+1)*n + r) == 0 (mod ell^v)."""
-    alpha = _as_rational(alpha)
+    alpha = as_rational(alpha)
     if v < 1:
         raise HypothesisError("v_positive", f"v = {v} must be >= 1")
     _check_denominator(alpha, ell)
@@ -328,7 +319,7 @@ def build_t3_claim(alpha, ell: int, v: int, r: int) -> CongruenceClaim:
 
 def build_remark_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
     """The excluded-prime variants (d, ell) in {(14, 5), (26, 11)}."""
-    alpha = _as_rational(alpha)
+    alpha = as_rational(alpha)
     if (d, ell) not in ((14, 5), (26, 11)):
         raise HypothesisError(
             "remark_pair", f"(d, ell) = ({d}, {ell}) not in {{(14, 5), (26, 11)}}"
@@ -357,6 +348,7 @@ def find_residues(d: int, ell: int, target_ord: int, count: int) -> list[int]:
     m, c = 24 // g, d // g
     if gcd(ell, m) != 1:
         raise PreconditionError(f"{ell} divides the progression step {m}")
+    check_power_cap(ell, target_ord, "the residue modulus")
     modulus = ell**target_ord
     r = (-c * pow(m, -1, modulus)) % modulus
     out = []

@@ -17,6 +17,7 @@ n = ell = 2 forces chi(2) = 0, while the bare symbol gives (-1/2) = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -27,7 +28,6 @@ from .arith import (
     kronecker_symbol,
     primes_below,
 )
-from .backend import denominator, is_rational, numerator, rational
 from .qseries import (
     Series,
     euler_product,
@@ -113,8 +113,8 @@ class FormExpansion:
             if k < 1:
                 raise PreconditionError("weight must be a positive integer")
             return k
-        if is_rational(k) and denominator(k) == 1 and numerator(k) >= 1:
-            return numerator(k)
+        if isinstance(k, Fraction) and k.denominator == 1 and k.numerator >= 1:
+            return k.numerator
         raise PreconditionError(f"weight {k} is not a positive integer")
 
 
@@ -156,7 +156,7 @@ def eta_power(d: int, prec: int) -> Series:
 def eta_form(d: int, prec: int) -> FormExpansion:
     """Eta power packaged with weight d/2, level (24/gcd(d,24))^2, and its character."""
     spec = EtaPowerSpec.for_power(d)
-    weight = d // 2 if d % 2 == 0 else rational(d, 2)
+    weight = d // 2 if d % 2 == 0 else Fraction(d, 2)
     return FormExpansion(
         series=eta_power(d, prec),
         weight=weight,
@@ -249,7 +249,7 @@ def normalize_leading(f: Series) -> Series:
             if isinstance(c, QuadRational):
                 return f.scale(c.inverse())
             if isinstance(c, int):
-                return f if c == 1 else f.scale(rational(1, c))
+                return f if c == 1 else f.scale(Fraction(1, c))
             return f.scale(1 / c)
     return f
 

@@ -5,13 +5,19 @@ whole expression is evaluated over exact rationals, so division never
 rounds; callers that need an integer use :func:`evaluate_int`, which
 rejects non-integral results.  This lets flags like a t3-family residue
 be written as ``(13^12-1)/12`` instead of a 13-digit literal.
+
+A power b^e is refused when |e| * max(bits(numerator), bits(denominator))
+of b exceeds ``MAX_POWER_BITS`` (2^20 bits, about 315,000 decimal
+digits), so ``9^9^9`` fails at once instead of building a number of about
+3.7*10^8 digits.  The bases 0, 1 and -1 are exempt.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
-from .backend import denominator, numerator, rational
+from .arith import MAX_POWER_BITS
 
 __all__ = ["ExpressionError", "evaluate_int", "evaluate_rational"]
 
@@ -92,11 +98,16 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exponent = self.factor()
-            if denominator(exponent) != 1:
+            if exponent.denominator != 1:
                 raise ExpressionError(f"non-integer exponent in {self.source!r}")
-            e = numerator(exponent)
+            e = exponent.numerator
             if e < 0 and base == 0:
                 raise ExpressionError(f"zero raised to a negative power in {self.source!r}")
+            bits = abs(e) * max(base.numerator.bit_length(), base.denominator.bit_length())
+            if base not in (0, 1, -1) and bits > MAX_POWER_BITS:
+                raise ExpressionError(
+                    f"power of about {bits} bits exceeds the {MAX_POWER_BITS}-bit cap in {self.source!r}"
+                )
             return base**e
         return base
 
@@ -109,7 +120,7 @@ class _Parser:
             self.expect(")")
             return value
         if tok.isdigit():
-            return rational(int(tok))
+            return Fraction(int(tok))
         raise ExpressionError(f"unexpected token {tok!r} in {self.source!r}")
 
 
@@ -124,6 +135,6 @@ def evaluate_rational(text: str):
 def evaluate_int(text: str) -> int:
     """Evaluate an expression that must come out to an integer."""
     value = evaluate_rational(text)
-    if denominator(value) != 1:
+    if value.denominator != 1:
         raise ExpressionError(f"{text!r} evaluates to the non-integer {value}")
-    return numerator(value)
+    return value.numerator

@@ -1,7 +1,7 @@
 """Truncated formal power series over an exact coefficient ring.
 
 A :class:`Series` stores dense coefficients for exponents 0..prec-1.
-Coefficients may be plain ints, backend rationals, or
+Coefficients may be plain ints, ``fractions.Fraction`` values, or
 :class:`~congruence_workbench.arith.QuadRational`; all operations are
 exact.  Binary operations truncate to the shorter operand, and nothing
 ever pads precision with fabricated zeros.
@@ -19,15 +19,19 @@ one exact pass, no floating point anywhere.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .arith import (
     NotLIntegralError,
     PreconditionError,
     QuadRational,
+    as_rational,
     format_quad,
+    format_rational,
     parse_quad,
+    parse_rational,
     reduce_mod_prime_power,
 )
-from .backend import format_rational, is_rational, numerator, denominator, parse_rational, rational
 
 __all__ = [
     "Series",
@@ -55,7 +59,7 @@ def _reciprocal(c):
             return c
         if c == 0:
             raise ZeroDivisionError("series constant term is zero")
-        return rational(1, c)
+        return Fraction(1, c)
     if isinstance(c, QuadRational):
         return c.inverse()
     if c == 0:
@@ -231,18 +235,13 @@ def series_pow_rational(f: Series, alpha) -> Series:
     Exact rational output: the unique solution g of f*g' = alpha*f'*g
     with g(0) = 1.
     """
-    if isinstance(alpha, int):
-        alpha = rational(alpha)
-    elif is_rational(alpha):
-        alpha = rational(numerator(alpha), denominator(alpha))
-    else:
-        raise TypeError("alpha must be a rational number")
+    alpha = as_rational(alpha)
     if f.prec < 1 or f.coeff(0) != 1:
         raise PreconditionError("series_pow_rational requires constant term 1")
-    a, b = numerator(alpha), denominator(alpha)
+    a, b = alpha.numerator, alpha.denominator
     prec = f.prec
     support = [(k, c) for k, c in enumerate(f.coeffs) if k >= 1 and c != 0]
-    out = [rational(1)] + [None] * (prec - 1)
+    out = [Fraction(1)] + [None] * (prec - 1)
     for n in range(1, prec):
         acc = 0
         for k, c in support:
@@ -257,7 +256,7 @@ def series_pow_rational(f: Series, alpha) -> Series:
                 acc = acc - weight * out[n - k]
             else:
                 acc = acc + weight * c * out[n - k]
-        out[n] = rational(acc, b * n) if isinstance(acc, int) else acc / (b * n)
+        out[n] = Fraction(acc, b * n) if isinstance(acc, int) else acc / (b * n)
     return Series(out, prec)
 
 

@@ -9,6 +9,8 @@ recomputed from scratch.
 from fractions import Fraction
 from functools import lru_cache
 
+from congruence_workbench.forms import a2_prime_power_iter
+
 
 def partition_counts(n_max: int) -> list[int]:
     """p(0..n_max) via p(n, k) = p(n-k, k) + p(n, k-1) (largest part <= k)."""
@@ -73,6 +75,22 @@ def binomial_series_power(coeffs: list[int], alpha: Fraction, prec: int) -> list
         binom = binom * (alpha - k) / (k + 1)
         h_k = naive_product(h_k, h, prec)
     return out
+
+
+def find_w_by_search(ell: int, v: int) -> int:
+    """Smallest w >= 1 with a_2(ell^w) == 0 (mod ell^v), by walking the recursion.
+
+    The two-term Hecke recursion on (a_2(ell^i), a_2(ell^(i+1))) mod ell^v,
+    seeded from the eta-square expansion, is purely periodic, so some index
+    below ell^(2v) hits zero; O(ell^v) steps when ell == 1 (mod 12).
+    """
+    bound = ell ** (2 * v)
+    it = a2_prime_power_iter(ell, v)
+    next(it)  # a_2(1)
+    for w in range(1, bound + 1):
+        if next(it) == 0:
+            return w
+    raise AssertionError(f"no zero of a_2({ell}^w) mod {ell}^{v} below the period bound {bound}")
 
 
 def squares_mod(p: int) -> set[int]:

@@ -8,12 +8,12 @@ budgets, asserted against a monotonic clock.
 
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from congruence_workbench.arith import QuadRational, padic_ord, primes_below
-from congruence_workbench.backend import rational
 from congruence_workbench.congruence import (
     ClaimFamily,
     CongruenceClaim,
@@ -59,30 +59,30 @@ def criterion(number: int, description: str, budget_seconds: float):
 
 def test_criterion_1_value_regression():
     with criterion(1, "p_(-1/8)(5) and p_(1/13)(7) exact", 1.0):
-        assert frac_partition_series(rational(-1, 8), 6).coeff(5) == rational(55615, 262144)
-        assert frac_partition_series(rational(1, 13), 8).coeff(7) == rational(
+        assert frac_partition_series(Fraction(-1, 8), 6).coeff(5) == Fraction(55615, 262144)
+        assert frac_partition_series(Fraction(1, 13), 8).coeff(7) == Fraction(
             -3395395, 62748517
         )
 
 
 def test_criterion_2_t1_desk_scale():
     with criterion(2, "p_(-1/8)(49n+5) == 0 mod 49 for n <= 20, sharp at n = 0", 120.0):
-        claim = build_t1_claim(rational(-1, 8), 6, 7, 5)
+        claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
         assert claim.modulus_power == 2
         report = verify_claim(claim, 20)
         assert report.status is VerificationStatus.VERIFIED_IN_RANGE
         witness = sharpness_probe(claim, 20)
         assert witness.n == 0
-        assert witness.value == rational(55615, 262144)
+        assert witness.value == Fraction(55615, 262144)
         assert padic_ord(witness.value, 7) == 2  # nonzero mod 7^3
 
 
 def test_criterion_3_t2_desk_scale():
     with criterion(3, "p_(1/13)(25n+7) == 0 mod 5 for n <= 40, fails mod 25 at n = 0", 60.0):
-        claim = build_t2_claim(rational(1, 13), 5, 7)
+        claim = build_t2_claim(Fraction(1, 13), 5, 7)
         report = verify_claim(claim, 40)
         assert report.status is VerificationStatus.VERIFIED_IN_RANGE
-        bumped = CongruenceClaim(ClaimFamily.T2, rational(1, 13), 2, 5, 2, 7, 2)
+        bumped = CongruenceClaim(ClaimFamily.T2, Fraction(1, 13), 2, 5, 2, 7, 2)
         refuted = verify_claim(bumped, 40)
         assert refuted.status is VerificationStatus.COUNTEREXAMPLE
         assert refuted.counterexample.n == 0
@@ -93,7 +93,7 @@ CHAN_WANG_TUPLES = [
     (6, 1, 5, 3),
     (8, 3, 5, 2),
     (-1, 4, 5, 4),
-    (rational(-1, 8), 6, 7, 5),
+    (Fraction(-1, 8), 6, 7, 5),
     (3, 8, 5, 3),
     (3, 10, 7, 6),
     (3, 14, 11, 4),
@@ -130,7 +130,7 @@ def test_criterion_5_t3_machinery():
                 assert seq_v[i] == direct.coeff(13**i) % 13**v
         # t3 hypothesis checks at full scale; the verification itself would
         # need series precision 13^13 and is out of desk range by construction.
-        alpha = rational(2, 13**13 + 1)
+        alpha = Fraction(2, 13**13 + 1)
         claim = build_t3_claim(alpha, 13, 1, (13**12 - 1) // 12)
         assert claim.e == 13
         assert claim.modulus_power == 1
@@ -164,7 +164,7 @@ def test_criterion_7_eigenform_suite():
                     for n in range(2, 200 // m + 1):
                         if gcd(m, n) == 1 and m * n < 200:
                             assert norm.coeff(m) * norm.coeff(n) == norm.coeff(m * n)
-        recon10 = (lambda c: (c[0] - c[1]).scale(rational(1, 96)))(serre_components(10, 200))
+        recon10 = (lambda c: (c[0] - c[1]).scale(Fraction(1, 96)))(serre_components(10, 200))
         expect10 = eta_power(10, 200)
         assert all(recon10.coeff(n) == expect10.coeff(n) for n in range(200))
         c14 = serre_components(14, 200)
@@ -172,7 +172,7 @@ def test_criterion_7_eigenform_suite():
         expect14 = eta_power(14, 200)
         assert all(recon14.coeff(n) == expect14.coeff(n) for n in range(200))
         c26 = serre_components(26, 200)
-        recon26 = (c26[0] + c26[1] - c26[2] - c26[3]).scale(rational(1, 32617728))
+        recon26 = (c26[0] + c26[1] - c26[2] - c26[3]).scale(Fraction(1, 32617728))
         expect26 = eta_power(26, 200)
         assert all(recon26.coeff(n) == expect26.coeff(n) for n in range(200))
 
@@ -182,7 +182,7 @@ def test_criterion_8_frobenius_and_denominator_invariants():
         prec = 200
         for ell in (5, 7, 13):
             for r in (1, 2):
-                for alpha in (rational(1, 2), rational(-1, 8), rational(2, 5)):
+                for alpha in (Fraction(1, 2), Fraction(-1, 8), Fraction(2, 5)):
                     if int(alpha.denominator) % ell == 0:
                         continue
                     lhs = series_pow_rational(euler_product(1, prec), ell**r * alpha)
@@ -194,7 +194,7 @@ def test_criterion_8_frobenius_and_denominator_invariants():
                         value = diff.coeff(n)
                         if value != 0:
                             assert padic_ord(value, ell) >= r, (ell, r, alpha, n)
-        for alpha in (rational(1, 2), rational(1, 3), rational(-2, 5), rational(1, 13)):
+        for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1, 13)):
             series = frac_partition_series(alpha, 41)
             b = int(alpha.denominator)
             for n in range(41):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,15 +11,16 @@ from congruence_workbench.arith import (
     SQRT_MINUS_3,
     chi_eta,
     format_quad,
+    format_rational,
     is_prime,
     kronecker_symbol,
     legendre_symbol,
     padic_ord,
     parse_quad,
+    parse_rational,
     primes_below,
     reduce_mod_prime_power,
 )
-from congruence_workbench.backend import format_rational, parse_rational, rational
 
 from oracles import euler_criterion, squares_mod
 
@@ -26,35 +28,35 @@ from oracles import euler_criterion, squares_mod
 class TestPadicOrd:
     def test_known_valuation(self):
         # ord_7(-1/8 - 6) = ord_7(-49/8)
-        assert padic_ord(rational(-1, 8) - 6, 7) == 2
+        assert padic_ord(Fraction(-1, 8) - 6, 7) == 2
 
     def test_zero_is_infinity(self):
-        assert padic_ord(rational(0), 5) is INFINITY
+        assert padic_ord(Fraction(0), 5) is INFINITY
 
     def test_integer(self):
-        assert padic_ord(rational(24), 2) == 3
+        assert padic_ord(Fraction(24), 2) == 3
         assert padic_ord(24, 2) == 3
 
     def test_negative_ord_from_denominator(self):
-        assert padic_ord(rational(3, 25), 5) == -2
+        assert padic_ord(Fraction(3, 25), 5) == -2
 
     def test_requires_prime(self):
         with pytest.raises(PreconditionError):
-            padic_ord(rational(1), 6)
+            padic_ord(Fraction(1), 6)
 
     def test_additive_on_products(self):
         rng = random.Random(7)
         for _ in range(200):
-            x = rational(rng.randint(-50, 50) or 1, rng.randint(1, 50))
-            y = rational(rng.randint(-50, 50) or 1, rng.randint(1, 50))
+            x = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50))
+            y = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50))
             for ell in (2, 3, 5, 7):
                 assert padic_ord(x * y, ell) == padic_ord(x, ell) + padic_ord(y, ell)
 
     def test_ultrametric_inequality(self):
         rng = random.Random(11)
         for _ in range(200):
-            x = rational(rng.randint(-30, 30) or 1, rng.randint(1, 30))
-            y = rational(rng.randint(-30, 30) or 1, rng.randint(1, 30))
+            x = Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30))
+            y = Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30))
             if x + y == 0:
                 continue
             for ell in (2, 5):
@@ -158,21 +160,21 @@ class TestChiEta:
 
 class TestReduceModPrimePower:
     def test_known_residues(self):
-        x = rational(55615, 262144)
+        x = Fraction(55615, 262144)
         assert reduce_mod_prime_power(x, 7, 2) == 0
         assert reduce_mod_prime_power(x, 7, 3) != 0
 
     def test_integer_case(self):
-        assert reduce_mod_prime_power(rational(3), 5, 1) == 3
+        assert reduce_mod_prime_power(Fraction(3), 5, 1) == 3
 
     def test_not_l_integral(self):
         with pytest.raises(NotLIntegralError):
-            reduce_mod_prime_power(rational(1, 5), 5, 1)
+            reduce_mod_prime_power(Fraction(1, 5), 5, 1)
 
     def test_residue_matches_congruence(self):
         rng = random.Random(3)
         for _ in range(300):
-            x = rational(rng.randint(-500, 500), rng.randint(1, 500))
+            x = Fraction(rng.randint(-500, 500), rng.randint(1, 500))
             for ell, k in ((3, 2), (5, 1), (7, 3)):
                 if int(x.denominator) % ell == 0:
                     continue
@@ -183,28 +185,28 @@ class TestReduceModPrimePower:
 
 class TestQuadRational:
     def test_embedding(self):
-        x = QuadRational.from_rational(rational(3, 4))
+        x = QuadRational.from_rational(Fraction(3, 4))
         assert x.im == 0
-        assert x == rational(3, 4)
+        assert x == Fraction(3, 4)
 
     def test_norm_multiplicative(self):
         rng = random.Random(42)
         for _ in range(1000):
             x = QuadRational(
-                rational(rng.randint(-9, 9), rng.randint(1, 9)),
-                rational(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             )
             y = QuadRational(
-                rational(rng.randint(-9, 9), rng.randint(1, 9)),
-                rational(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             )
             assert (x * y).norm() == x.norm() * y.norm()
 
     def test_sqrt_minus_3_squares_to_minus_3(self):
-        assert SQRT_MINUS_3 * SQRT_MINUS_3 == rational(-3)
+        assert SQRT_MINUS_3 * SQRT_MINUS_3 == Fraction(-3)
 
     def test_inverse(self):
-        x = QuadRational(rational(2, 3), rational(-1, 5))
+        x = QuadRational(Fraction(2, 3), Fraction(-1, 5))
         assert x * x.inverse() == 1
         assert 1 / x == x.inverse()
         with pytest.raises(ZeroDivisionError):
@@ -214,19 +216,19 @@ class TestQuadRational:
         x = QuadRational(1, 2)
         assert x + 1 == QuadRational(2, 2)
         assert 3 * x == QuadRational(3, 6)
-        assert x - rational(1, 2) == QuadRational(rational(1, 2), 2)
+        assert x - Fraction(1, 2) == QuadRational(Fraction(1, 2), 2)
 
     def test_conjugate_gives_norm(self):
-        x = QuadRational(rational(5, 7), rational(1, 2))
+        x = QuadRational(Fraction(5, 7), Fraction(1, 2))
         assert x * x.conjugate() == x.norm()
 
 
 class TestSerialization:
     def test_rational_format(self):
-        assert format_rational(rational(-3395395, 62748517)) == "-3395395/62748517"
-        assert format_rational(rational(3)) == "3/1"
-        assert parse_rational("-3395395/62748517") == rational(-3395395, 62748517)
-        assert parse_rational("7") == rational(7)
+        assert format_rational(Fraction(-3395395, 62748517)) == "-3395395/62748517"
+        assert format_rational(Fraction(3)) == "3/1"
+        assert parse_rational("-3395395/62748517") == Fraction(-3395395, 62748517)
+        assert parse_rational("7") == Fraction(7)
 
     def test_rational_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -235,7 +237,7 @@ class TestSerialization:
             parse_rational("1/0")
 
     def test_quad_roundtrip(self):
-        x = QuadRational(rational(0), rational(-360))
+        x = QuadRational(Fraction(0), Fraction(-360))
         text = format_quad(x)
         assert text == "0/1+-360/1*sqrt(-3)"
         assert parse_quad(text) == x

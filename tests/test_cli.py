@@ -1,18 +1,12 @@
-import importlib.util
 import json
-import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
-
-import pytest
 
 from congruence_workbench.cli import main
 
 from oracles import binomial_series_power, naive_euler_product
-
-BACKEND_ENV_VAR = "CONGRUENCE_WORKBENCH_BACKEND"
-HAVE_GMPY2 = importlib.util.find_spec("gmpy2") is not None
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +46,28 @@ class TestCoeffs:
             {"n": 2, "value": "2/1"},
         ]
 
+    def test_matches_binomial_oracle(self, capsys):
+        # The reference sums the binomial series over Fraction and never
+        # runs the log-derivative recurrence behind coeffs.
+        values = binomial_series_power(naive_euler_product(1, 31), Fraction(-1, 8), 31)
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", "-1/8", "--n", "30")
+        assert code == 0
+        assert out == "".join(f"{n}\t{c.numerator}/{c.denominator}\n" for n, c in enumerate(values))
+
+    def test_max_prec_refused(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "20", "--max-prec", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "4", "--max-prec", "5")[0] == 0
+
+    def test_huge_power_refused_fast(self, capsys):
+        for flags in (("--alpha", "9^9^9"), ("--alpha", "-1", "--mod", "5^10000000")):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "coeffs", *flags, "--n", "1")
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestEta:
     def test_weight_one_values(self, capsys):
@@ -66,13 +82,19 @@ class TestEta:
             n = int(line.split("\t")[0])
             assert n % 6 == 1
 
+    def test_max_prec_refused(self, capsys):
+        code, out, err = run_cli(capsys, "eta", "--d", "2", "--n", "13", "--max-prec", "13")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert run_cli(capsys, "eta", "--d", "2", "--n", "13", "--max-prec", "14")[0] == 0
+
     def test_rejects_nonpositive_d(self, capsys):
         code, _, err = run_cli(capsys, "eta", "--d", "0", "--n", "5")
         assert code == 2
         assert err.startswith("error:")
 
     def test_matches_library_expansion(self, capsys):
-        from congruence_workbench.backend import format_rational
+        from congruence_workbench.arith import format_rational
         from congruence_workbench.forms import eta_power
 
         code, out, _ = run_cli(capsys, "eta", "--d", "10", "--n", "50")
@@ -121,6 +143,17 @@ class TestVerify:
         assert code == 2
         assert "precision" in err
 
+    def test_t3_large_v_refused_fast(self, capsys):
+        # w = 13^10 - 1 comes from the closed form; a search would not end
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "t3", "--alpha", "3",
+            "--ell", "13", "--v", "10", "--r", "0",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: alpha_ord_equals_v_plus_w")
+
     def test_missing_family_flag_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--family", "t1", "--alpha", "-1/8",
@@ -154,6 +187,17 @@ class TestFindW:
         code, out, _ = run_cli(capsys, "find-w", "--ell", "5", "--v", "2")
         assert code == 0
         assert out.strip() == "1"
+
+    def test_large_v_is_instant(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "find-w", "--ell", "13", "--v", "10")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.strip() == "137858491848"
+        # 13^4000 - 1 has 4456 digits, past Python's default str limit
+        code, out, _ = run_cli(capsys, "find-w", "--ell", "13", "--v", "4000")
+        assert code == 0
+        assert out.strip() == str(13**4000 - 1)
 
     def test_nonprime_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "find-w", "--ell", "4", "--v", "1")
@@ -200,28 +244,28 @@ class TestResidues:
         code, out, _ = run_cli(capsys, "residues", "--d", "2", "--ell", "5", "--ord", "1", "--count", "1")
         assert code == 0 and out.strip() == "7"
 
+    def test_huge_ord_refused(self, capsys):
+        code, out, err = run_cli(capsys, "residues", "--d", "2", "--ell", "13", "--ord", "2000000")
+        assert code == 2 and out == ""
+        assert "cap" in err
+
     def test_t3_residue(self, capsys):
         code, out, _ = run_cli(capsys, "residues", "--d", "2", "--ell", "13", "--ord", "12", "--count", "1")
         assert code == 0
         assert out.strip() == str((13**12 - 1) // 12)
 
 
-def _run_subprocess(args, env_update=None):
-    env = dict(os.environ)
-    env.update(env_update or {})
+def _run_subprocess(args):
     return subprocess.run(
-        [sys.executable, "-m", "congruence_workbench", *args],
-        capture_output=True,
-        env=env,
-        check=False,
+        [sys.executable, "-m", "congruence_workbench", *args], capture_output=True, check=False
     )
 
 
 class TestDeterminism:
-    def test_seed_examples_byte_identical_across_thread_counts(self):
+    def test_seed_examples_byte_identical_across_runs(self):
         outputs = set()
-        for threads in ("1", "4"):
-            proc = _run_subprocess(["seed-examples"], {"CONGRUENCE_WORKBENCH_THREADS": threads})
+        for _ in range(2):
+            proc = _run_subprocess(["seed-examples"])
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1
@@ -236,72 +280,10 @@ class TestDeterminism:
         assert by_fixture["t3-residue"]["r"] == (13**12 - 1) // 12
         assert by_fixture["ramanujan-mod-5"]["status"] == "VERIFIED_IN_RANGE"
 
-    def test_invalid_thread_env_exits_2(self):
-        proc = _run_subprocess(
-            ["find-w", "--ell", "5", "--v", "1"],
-            {"CONGRUENCE_WORKBENCH_THREADS": "zero"},
-        )
-        assert proc.returncode == 2
-
-    @staticmethod
-    def _assert_backend_refused(setting, message):
-        proc = _run_subprocess(["find-w", "--ell", "5", "--v", "1"], {BACKEND_ENV_VAR: setting})
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        lines = proc.stderr.decode().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert message in lines[0]
-
-    def test_invalid_backend_env_exits_2(self):
-        self._assert_backend_refused("bogus", f"{BACKEND_ENV_VAR} must be one of")
-
-    @pytest.mark.skipif(HAVE_GMPY2, reason="gmpy2 is installed, so forcing it is a valid setting")
-    def test_forced_missing_gmpy2_exits_2(self):
-        self._assert_backend_refused("gmpy2", "gmpy2 is not installed")
-
-    def test_library_refuses_bad_backend_on_first_use(self):
-        # The import succeeds; building the first rational raises, so no
-        # computation ever runs on a backend other than the one forced.
-        code = (
-            "import congruence_workbench as cw\n"
-            "assert cw.BACKEND_NAME is None\n"
-            "try:\n"
-            "    cw.frac_partition_series(-1, 5)\n"
-            "except cw.BackendError as exc:\n"
-            "    print(exc)\n"
-        )
-        env = dict(os.environ, **{BACKEND_ENV_VAR: "bogus"})
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=False)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.decode().startswith(f"{BACKEND_ENV_VAR} must be one of")
-
-    COEFFS_ARGS = ["coeffs", "--alpha", "-1/8", "--n", "30"]
-
-    @staticmethod
-    def _coeffs_reference() -> str:
-        """Expected stdout of COEFFS_ARGS, built by the binomial-series oracle."""
-        values = binomial_series_power(naive_euler_product(1, 31), Fraction(-1, 8), 31)
-        return "".join(f"{n}\t{c.numerator}/{c.denominator}\n" for n, c in enumerate(values))
-
-    def _assert_backends_match_reference(self, backends):
-        expected = self._coeffs_reference()
-        for backend in backends:
-            proc = _run_subprocess(self.COEFFS_ARGS, {BACKEND_ENV_VAR: backend})
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.decode() == expected, backend
-
-    def test_backends_agree(self):
-        # "auto" picks gmpy2 wherever it is importable, so there this is the
-        # gmpy2-against-fractions comparison; everywhere, both runs must
-        # equal a reference that never runs the log-derivative recurrence.
-        proc = _run_subprocess(["--version"], {BACKEND_ENV_VAR: "auto"})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.decode().strip().endswith("(gmpy2)" if HAVE_GMPY2 else "(fractions)")
-        self._assert_backends_match_reference(("auto", "fractions"))
-
-    def test_forced_gmpy2_agrees_with_fractions(self):
-        pytest.importorskip("gmpy2")
-        self._assert_backends_match_reference(("gmpy2", "fractions"))
+    def test_version_names_fractions(self):
+        proc = _run_subprocess(["--version"])
+        assert proc.returncode == 0
+        assert proc.stdout == b"congruence-workbench 0.1.0 (fractions)\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,10 +1,10 @@
 import json
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from congruence_workbench.arith import INFINITY, PreconditionError, padic_ord
-from congruence_workbench.backend import rational
+from congruence_workbench.arith import INFINITY, PreconditionError, padic_ord, primes_below
 from congruence_workbench.congruence import (
     ClaimFamily,
     CongruenceClaim,
@@ -26,6 +26,8 @@ from congruence_workbench.congruence import (
     verify_claim,
 )
 from congruence_workbench.forms import a2_prime_power_sequence
+
+from oracles import find_w_by_search
 
 
 class TestSatisfactoryPredicate:
@@ -68,7 +70,7 @@ class TestBuilders:
         assert claim.family is ClaimFamily.CW
 
     def test_cw_residue_solving(self):
-        claim = build_cw_claim(rational(-1, 8), 6, 7, 5)
+        claim = build_cw_claim(Fraction(-1, 8), 6, 7, 5)
         assert claim.r == 5
 
     def test_cw_divisibility_failure(self):
@@ -80,39 +82,39 @@ class TestBuilders:
         assert build_cw_claim(-1, 4, 5, 9).r == 4
 
     def test_t1_example(self):
-        claim = build_t1_claim(rational(-1, 8), 6, 7, 5)
+        claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
         assert (claim.e, claim.modulus_power, claim.r) == (2, 2, 5)
         assert claim.progression_modulus == 49
 
     def test_t1_ord_hypothesis(self):
         # 4*12 + 1 = 49 has ord 2, not 1
         with pytest.raises(HypothesisError) as excinfo:
-            build_t1_claim(rational(-1, 8), 6, 7, 12)
+            build_t1_claim(Fraction(-1, 8), 6, 7, 12)
         assert excinfo.value.hypothesis == "residue_ord_one"
 
     def test_t1_rejects_unsatisfactory_prime(self):
         with pytest.raises(HypothesisError) as excinfo:
-            build_t1_claim(rational(-1, 8), 6, 13, 5)
+            build_t1_claim(Fraction(-1, 8), 6, 13, 5)
         assert excinfo.value.hypothesis == "d_satisfactory"
 
     def test_t2_example(self):
-        claim = build_t2_claim(rational(1, 13), 5, 7)
+        claim = build_t2_claim(Fraction(1, 13), 5, 7)
         assert (claim.e, claim.modulus_power) == (2, 1)
         assert padic_ord(claim.alpha - 2, 5) == 2
 
     def test_t2_ord_failure(self):
         with pytest.raises(HypothesisError) as excinfo:
-            build_t2_claim(rational(1, 13), 5, 2)  # 12*2+1 = 25, ord 2
+            build_t2_claim(Fraction(1, 13), 5, 2)  # 12*2+1 = 25, ord 2
         assert excinfo.value.hypothesis == "residue_ord_one"
 
     def test_t2_rejects_denominator(self):
         with pytest.raises(HypothesisError) as excinfo:
-            build_t2_claim(rational(1, 5), 5, 7)
+            build_t2_claim(Fraction(1, 5), 5, 7)
         assert excinfo.value.hypothesis == "ell_coprime_to_denominator"
 
     def test_t3_full_scale_hypotheses(self):
         b = (13**13 + 1) // 2
-        alpha = rational(1, b)
+        alpha = Fraction(1, b)
         r = (13**12 - 1) // 12
         assert padic_ord(alpha - 2, 13) == 13
         assert padic_ord(12 * r + 1, 13) == 12
@@ -128,29 +130,29 @@ class TestBuilders:
         assert excinfo.value.hypothesis == "alpha_ord_equals_v_plus_w"
 
     def test_t3_two_satisfactory_matches_t2_shape(self):
-        t3 = build_t3_claim(rational(1, 13), 5, 1, 7)
-        t2 = build_t2_claim(rational(1, 13), 5, 7)
+        t3 = build_t3_claim(Fraction(1, 13), 5, 1, 7)
+        t2 = build_t2_claim(Fraction(1, 13), 5, 7)
         assert (t3.e, t3.r, t3.modulus_power) == (t2.e, t2.r, t2.modulus_power)
 
     def test_remark_powers(self):
         # ord_5(alpha - 14) = 2 -> power 1 for d = 14
-        alpha = 14 + rational(25, 13)
+        alpha = 14 + Fraction(25, 13)
         claim = build_remark_claim(alpha, 14, 5, find_residues(14, 5, 1, 1)[0])
         assert claim.modulus_power == 1
         # ord_11(alpha - 26) = 3 -> power 1 for d = 26
-        alpha = 26 + rational(11**3, 13)
+        alpha = 26 + Fraction(11**3, 13)
         claim = build_remark_claim(alpha, 26, 11, find_residues(26, 11, 1, 1)[0])
         assert claim.modulus_power == 1
 
     def test_remark_rejects_power_zero(self):
-        alpha = 14 + rational(5, 13)
+        alpha = 14 + Fraction(5, 13)
         with pytest.raises(HypothesisError) as excinfo:
             build_remark_claim(alpha, 14, 5, find_residues(14, 5, 1, 1)[0])
         assert excinfo.value.hypothesis == "modulus_power_positive"
 
     def test_remark_rejects_other_pairs(self):
         with pytest.raises(HypothesisError):
-            build_remark_claim(rational(1, 2), 14, 11, 1)
+            build_remark_claim(Fraction(1, 2), 14, 11, 1)
 
     def test_claim_type_validates(self):
         with pytest.raises(PreconditionError):
@@ -158,7 +160,7 @@ class TestBuilders:
         with pytest.raises(PreconditionError):
             CongruenceClaim(ClaimFamily.CW, -1, 4, 5, 1, 5, 1)
         with pytest.raises(HypothesisError):
-            CongruenceClaim(ClaimFamily.T2, rational(1, 5), 2, 5, 2, 7, 1)
+            CongruenceClaim(ClaimFamily.T2, Fraction(1, 5), 2, 5, 2, 7, 1)
 
 
 class TestFindW:
@@ -186,6 +188,21 @@ class TestFindW:
     def test_rejects_nonprime(self):
         with pytest.raises(PreconditionError):
             find_w(4, 1)
+
+    def test_rejects_v_below_one(self):
+        with pytest.raises(PreconditionError):
+            find_w(13, 0)
+
+    def test_closed_form_matches_search(self):
+        cases = [(ell, v) for ell in primes_below(60) for v in (1, 2, 3)] + [(13, 6)]
+        for ell, v in cases:
+            assert find_w(ell, v) == find_w_by_search(ell, v), (ell, v)
+
+    def test_large_v(self):
+        assert find_w(13, 10) == 13**10 - 1 == 137858491848
+        assert find_w(11, 10**9) == 1
+        with pytest.raises(PreconditionError):
+            find_w(13, 10**9)
 
 
 class TestPeriodStructure:
@@ -227,7 +244,7 @@ class TestFindResidues:
 
 class TestVerifyClaim:
     def test_t1_desk_scale(self):
-        claim = build_t1_claim(rational(-1, 8), 6, 7, 5)
+        claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
         report = verify_claim(claim, 10)
         assert report.status is VerificationStatus.VERIFIED_IN_RANGE
         assert report.counterexample is None
@@ -237,12 +254,12 @@ class TestVerifyClaim:
         assert verify_claim(claim, 100).status is VerificationStatus.VERIFIED_IN_RANGE
 
     def test_falsified_claim_counterexample(self):
-        bumped = CongruenceClaim(ClaimFamily.T2, rational(1, 13), 2, 5, 2, 7, 2)
+        bumped = CongruenceClaim(ClaimFamily.T2, Fraction(1, 13), 2, 5, 2, 7, 2)
         report = verify_claim(bumped, 5)
         assert report.status is VerificationStatus.COUNTEREXAMPLE
         ce = report.counterexample
         assert ce.n == 0
-        assert ce.value == rational(-3395395, 62748517)
+        assert ce.value == Fraction(-3395395, 62748517)
         assert ce.ord == 1
 
     def test_not_l_integral_is_precondition_failed(self):
@@ -251,7 +268,7 @@ class TestVerifyClaim:
         claim = object.__new__(CongruenceClaim)
         for field, value in (
             ("family", ClaimFamily.CW),
-            ("alpha", rational(1, 5)),
+            ("alpha", Fraction(1, 5)),
             ("d", 1),
             ("ell", 5),
             ("e", 1),
@@ -264,7 +281,7 @@ class TestVerifyClaim:
         assert "integral" in report.note
 
     def test_precision_cap(self):
-        claim = build_t1_claim(rational(-1, 8), 6, 7, 5)
+        claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
         with pytest.raises(PrecisionCapExceeded):
             verify_claim(claim, 100, max_precision=1000)
 
@@ -274,14 +291,14 @@ class TestVerifyClaim:
             build_cw_claim(6, 1, 5, 3),
             build_cw_claim(8, 3, 5, 2),
             build_cw_claim(-1, 4, 5, 4),
-            build_cw_claim(rational(-1, 8), 6, 7, 5),
+            build_cw_claim(Fraction(-1, 8), 6, 7, 5),
             build_cw_claim(3, 8, 5, 3),
             build_cw_claim(3, 10, 7, 6),
             build_cw_claim(3, 14, 11, 4),
             build_cw_claim(4, 26, 11, 9),
-            build_t1_claim(rational(-1, 8), 6, 7, 5),
-            build_t2_claim(rational(1, 13), 5, 7),
-            build_t3_claim(rational(1, 13), 5, 1, 7),
+            build_t1_claim(Fraction(-1, 8), 6, 7, 5),
+            build_t2_claim(Fraction(1, 13), 5, 7),
+            build_t3_claim(Fraction(1, 13), 5, 1, 7),
         ]
         for claim in grid:
             report = verify_claim(claim, 10)
@@ -289,8 +306,8 @@ class TestVerifyClaim:
 
     def test_t1_hypotheses_imply_cw_at_projected_residue(self):
         cases = [
-            (rational(-1, 8), 6, 7, 5),
-            (rational(1, 4), 4, 5, 9),
+            (Fraction(-1, 8), 6, 7, 5),
+            (Fraction(1, 4), 4, 5, 9),
             (3, 10, 7, 6),
             (3, 8, 5, 3),
         ]
@@ -303,26 +320,26 @@ class TestVerifyClaim:
 
 class TestSharpness:
     def test_t1_witness(self):
-        claim = build_t1_claim(rational(-1, 8), 6, 7, 5)
+        claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
         witness = sharpness_probe(claim, 5)
         assert witness.n == 0
-        assert witness.value == rational(55615, 262144)
+        assert witness.value == Fraction(55615, 262144)
 
     def test_t2_witness(self):
-        claim = build_t2_claim(rational(1, 13), 5, 7)
+        claim = build_t2_claim(Fraction(1, 13), 5, 7)
         witness = sharpness_probe(claim, 5)
         assert witness.n == 0
-        assert witness.value == rational(-3395395, 62748517)
+        assert witness.value == Fraction(-3395395, 62748517)
 
     def test_inconclusive(self):
         # along 7n+5 the n = 0 value has ord 2, above the mod-7 claim's power
-        claim = build_cw_claim(rational(-1, 8), 6, 7, 5)
+        claim = build_cw_claim(Fraction(-1, 8), 6, 7, 5)
         assert sharpness_probe(claim, 0) is None
 
 
 class TestCertificates:
     def test_record_fields_and_order(self):
-        claim = build_t2_claim(rational(1, 13), 5, 7)
+        claim = build_t2_claim(Fraction(1, 13), 5, 7)
         report = verify_claim(claim, 10)
         record = certificate_record(report)
         assert list(record) == [
@@ -341,7 +358,7 @@ class TestCertificates:
         assert record["status"] == "VERIFIED_IN_RANGE"
 
     def test_counterexample_serialization(self):
-        bumped = CongruenceClaim(ClaimFamily.T2, rational(1, 13), 2, 5, 2, 7, 2)
+        bumped = CongruenceClaim(ClaimFamily.T2, Fraction(1, 13), 2, 5, 2, 7, 2)
         line = certificate_line(verify_claim(bumped, 3))
         parsed = json.loads(line)
         assert parsed["counterexample"] == {

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,7 +9,6 @@ from congruence_workbench.arith import (
     QuadRational,
     primes_below,
 )
-from congruence_workbench.backend import rational
 from congruence_workbench.congruence import is_d_satisfactory
 from congruence_workbench.forms import (
     EtaPowerSpec,
@@ -184,7 +184,7 @@ SERRE_WEIGHT = {10: 5, 14: 7, 26: 13}
 class TestSerreComponents:
     def test_reconstruction_d10(self):
         comps = serre_components(10, 200)
-        rebuilt = (comps[0] - comps[1]).scale(rational(1, 96))
+        rebuilt = (comps[0] - comps[1]).scale(Fraction(1, 96))
         expected = eta_power(10, 200)
         assert all(rebuilt.coeff(n) == expected.coeff(n) for n in range(200))
 
@@ -200,7 +200,7 @@ class TestSerreComponents:
     def test_reconstruction_d26(self):
         comps = serre_components(26, 200)
         rebuilt = (comps[0] + comps[1] - comps[2] - comps[3]).scale(
-            rational(1, 32617728)
+            Fraction(1, 32617728)
         )
         expected = eta_power(26, 200)
         for n in range(200):

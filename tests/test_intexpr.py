@@ -1,6 +1,7 @@
+from fractions import Fraction
+
 import pytest
 
-from congruence_workbench.backend import rational
 from congruence_workbench.intexpr import ExpressionError, evaluate_int, evaluate_rational
 
 
@@ -18,8 +19,8 @@ def test_precedence():
 
 
 def test_rationals():
-    assert evaluate_rational("1/3") == rational(1, 3)
-    assert evaluate_rational("2/(13^13+1)") == rational(2, 13**13 + 1)
+    assert evaluate_rational("1/3") == Fraction(1, 3)
+    assert evaluate_rational("2/(13^13+1)") == Fraction(2, 13**13 + 1)
     assert evaluate_rational("(1/2+1/3)*6/5") == 1
 
 
@@ -44,7 +45,19 @@ def test_fractional_exponent_rejected():
 
 
 def test_negative_exponent_is_exact():
-    assert evaluate_rational("2^-3") == rational(1, 8)
+    assert evaluate_rational("2^-3") == Fraction(1, 8)
+
+
+def test_power_cap():
+    with pytest.raises(ExpressionError, match="cap"):
+        evaluate_rational("9^9^9")
+    with pytest.raises(ExpressionError, match="cap"):
+        evaluate_rational("(1/3)^-(2^20)")
+    assert evaluate_int("2^(2^19)") == 2 ** (2**19)
+    # the bases 0, 1 and -1 never grow
+    assert evaluate_int("0^(10^9)") == 0
+    assert evaluate_int("1^(10^9)") == 1
+    assert evaluate_int("(-1)^(10^9+1)") == -1
 
 
 def test_malformed():

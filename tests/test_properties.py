@@ -1,0 +1,100 @@
+"""Property tests: random inputs checked against independent references."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congruence_workbench.arith import QuadRational, primes_below
+from congruence_workbench.congruence import find_w
+from congruence_workbench.intexpr import ExpressionError, evaluate_rational
+from congruence_workbench.qseries import Series, format_series_text, parse_series_text
+
+from oracles import find_w_by_search
+
+# -- intexpr against a direct Fraction evaluator ---------------------------
+
+_leaves = st.integers(0, 20)
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("^"), sub, st.integers(-4, 4)),
+        st.tuples(st.just("neg"), sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _render(tree) -> str:
+    if isinstance(tree, int):
+        return str(tree)
+    if tree[0] == "neg":
+        return f"(-{_render(tree[1])})"
+    op, left, right = tree
+    return f"({_render(left)}{op}{_render(right)})"
+
+
+def _direct(tree) -> Fraction:
+    """Evaluate the tree over Fraction; ZeroDivisionError where intexpr refuses."""
+    if isinstance(tree, int):
+        return Fraction(tree)
+    if tree[0] == "neg":
+        return -_direct(tree[1])
+    op, left, right = tree
+    a, b = _direct(left), _direct(right)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
+    return a ** int(b)
+
+
+@given(_trees)
+def test_intexpr_matches_direct_fraction_evaluation(tree):
+    text = _render(tree)
+    try:
+        expected = _direct(tree)
+    except ZeroDivisionError:
+        try:
+            evaluate_rational(text)
+        except ExpressionError:
+            return
+        raise AssertionError(f"{text!r} should be refused")
+    assert evaluate_rational(text) == expected
+
+
+# -- series text format round trip -----------------------------------------
+
+_fractions = st.fractions(max_denominator=10**6)
+_coefficients = st.one_of(_fractions, st.builds(QuadRational, _fractions, _fractions))
+
+
+@given(st.lists(_coefficients, max_size=30))
+def test_series_text_round_trip(coeffs):
+    series = Series(coeffs)
+    text = format_series_text(series)
+    parsed = parse_series_text(text)
+    assert parsed == series
+    assert format_series_text(parsed) == text
+
+
+# -- closed-form find_w against the search ---------------------------------
+
+
+# every (ell, v) with ell^v <= 10^5, so the search takes at most 10^5 steps
+_PRIMES_BY_V = {v: [p for p in primes_below(10**5 + 1) if p**v <= 10**5] for v in range(1, 17)}
+_prime_and_v = st.sampled_from(sorted(_PRIMES_BY_V)).flatmap(
+    lambda v: st.tuples(st.sampled_from(_PRIMES_BY_V[v]), st.just(v))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prime_and_v)
+def test_find_w_closed_form_matches_search(case):
+    ell, v = case
+    assert find_w(ell, v) == find_w_by_search(ell, v)

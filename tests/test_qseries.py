@@ -1,9 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from congruence_workbench.arith import NotLIntegralError, PreconditionError, padic_ord
-from congruence_workbench.backend import rational
 from congruence_workbench.qseries import (
     Series,
     euler_product,
@@ -85,23 +85,23 @@ class TestPowRational:
 
     def test_square_root_roundtrip(self):
         f = euler_product(1, 60)
-        h = series_pow_rational(f, rational(1, 2))
-        assert [c for c in (h * h).coeffs] == [rational(c) for c in f.coeffs]
+        h = series_pow_rational(f, Fraction(1, 2))
+        assert [c for c in (h * h).coeffs] == [Fraction(c) for c in f.coeffs]
 
     def test_known_coefficient(self):
-        f = frac_partition_series(rational(-1, 8), 6)
-        assert f.coeff(5) == rational(55615, 262144)
+        f = frac_partition_series(Fraction(-1, 8), 6)
+        assert f.coeff(5) == Fraction(55615, 262144)
 
     def test_requires_unit_constant_term(self):
         with pytest.raises(PreconditionError):
-            series_pow_rational(series_from_ints([2, 1]), rational(1, 2))
+            series_pow_rational(series_from_ints([2, 1]), Fraction(1, 2))
 
     def test_exponent_law(self):
         f = euler_product(1, 50)
         rng = random.Random(99)
         for _ in range(20):
-            alpha = rational(rng.randint(-6, 6), rng.randint(1, 6))
-            beta = rational(rng.randint(-6, 6), rng.randint(1, 6))
+            alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            beta = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             lhs = series_pow_rational(f, alpha) * series_pow_rational(f, beta)
             rhs = series_pow_rational(f, alpha + beta)
             assert lhs == rhs
@@ -140,8 +140,8 @@ class TestFracPartitionSeries:
         assert all(f.coeff(n) == euler_product(1, 50).coeff(n) for n in range(50))
 
     def test_known_coefficient_alpha_one_thirteenth(self):
-        f = frac_partition_series(rational(1, 13), 8)
-        assert f.coeff(7) == rational(-3395395, 62748517)
+        f = frac_partition_series(Fraction(1, 13), 8)
+        assert f.coeff(7) == Fraction(-3395395, 62748517)
 
     def test_negative_index_convention(self):
         assert frac_partition_series(-1, 5).coeff(-3) == 0
@@ -205,7 +205,7 @@ class TestReduceMod:
         assert series_reduce_mod(z, 7, 2) == z
 
     def test_not_l_integral_names_index(self):
-        f = frac_partition_series(rational(1, 5), 10)
+        f = frac_partition_series(Fraction(1, 5), 10)
         with pytest.raises(NotLIntegralError) as excinfo:
             series_reduce_mod(f, 5, 1)
         assert excinfo.value.index == 1
@@ -217,7 +217,7 @@ class TestFrobeniusCongruence:
     @pytest.mark.parametrize("r", [1, 2])
     def test_congruence(self, ell, r):
         prec = 200
-        for alpha in (rational(1, 2), rational(-1, 8), rational(2, 5)):
+        for alpha in (Fraction(1, 2), Fraction(-1, 8), Fraction(2, 5)):
             if int(alpha.denominator) % ell == 0:
                 continue
             lhs = series_pow_rational(euler_product(1, prec), ell**r * alpha)
@@ -231,7 +231,7 @@ class TestFrobeniusCongruence:
 
 class TestDenominatorFormula:
     @pytest.mark.parametrize(
-        "alpha", [rational(1, 2), rational(1, 3), rational(-2, 5), rational(1, 13)]
+        "alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1, 13)]
     )
     def test_exact_denominators(self, alpha):
         b = int(alpha.denominator)
@@ -242,7 +242,7 @@ class TestDenominatorFormula:
 
 class TestTextFormat:
     def test_roundtrip(self):
-        f = frac_partition_series(rational(-1, 8), 12)
+        f = frac_partition_series(Fraction(-1, 8), 12)
         text = format_series_text(f)
         assert text.startswith("# prec=12\n")
         g = parse_series_text(text)
@@ -257,7 +257,7 @@ class TestTextFormat:
     def test_quad_coefficients_roundtrip(self):
         from congruence_workbench.arith import QuadRational
 
-        f = Series([QuadRational(1, 0), QuadRational(0, rational(-360))])
+        f = Series([QuadRational(1, 0), QuadRational(0, Fraction(-360))])
         g = parse_series_text(format_series_text(f))
         assert all(g.coeff(n) == f.coeff(n) for n in range(2))
 
