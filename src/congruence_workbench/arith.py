@@ -251,9 +251,10 @@ def chi_eta(d: int, m: int) -> int:
     return kronecker_symbol(12, m)
 
 
-def reduce_mod_prime_power(x, ell: int, k: int) -> int:
+def reduce_mod_prime_power(x, ell: int, k: int, mod: int | None = None) -> int:
     """Canonical residue of a rational in [0, ell^k).
 
+    A caller reducing many values passes ``mod = ell**k``, computed once.
     Raises NotLIntegralError when ell divides the denominator (the value
     has no residue mod ell^k).
     """
@@ -265,7 +266,8 @@ def reduce_mod_prime_power(x, ell: int, k: int) -> int:
         raise NotLIntegralError(
             f"{format_rational(x)} is not {ell}-integral: {ell} divides the denominator"
         )
-    mod = ell**k
+    if mod is None:
+        mod = ell**k
     return num * pow(den, -1, mod) % mod
 
 

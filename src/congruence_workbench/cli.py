@@ -80,20 +80,32 @@ def _parse_mod(text: str) -> tuple[int, int]:
     return ell, k
 
 
-def _emit(line: str, out_path: str | None):
-    if out_path is None:
-        print(line)
-    else:
-        with open(out_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+class _Output:
+    """Where a command's lines go: stdout, or ``--out FILE`` opened once, on first use."""
+
+    def __init__(self, path: str | None):
+        self.path = path
+        self.file = None
+
+    def emit(self, line: str):
+        if self.path is None:
+            print(line)
+            return
+        if self.file is None:
+            self.file = open(self.path, "a", encoding="utf-8")
+        self.file.write(line + "\n")
+
+    def close(self):
+        if self.file is not None:
+            self.file.close()
 
 
 def _emit_values(args, items, fmt):
     for n, c in items:
         if args.output == "jsonl":
-            _emit(json.dumps({"n": n, "value": fmt(c)}, separators=(",", ":")), args.out)
+            args.emit(json.dumps({"n": n, "value": fmt(c)}, separators=(",", ":")))
         else:
-            _emit(f"{n}\t{fmt(c)}", args.out)
+            args.emit(f"{n}\t{fmt(c)}")
 
 
 def _series_prec(args) -> int:
@@ -147,7 +159,7 @@ def cmd_verify(args) -> int:
     claim = _build_claim(args)
     n_max = args.nmax if args.nmax is not None else DEFAULT_N_MAX
     report = verify_claim(claim, n_max, max_precision=args.max_prec)
-    _emit(certificate_line(report), args.out)
+    args.emit(certificate_line(report))
     if report.status is VerificationStatus.VERIFIED_IN_RANGE:
         return EXIT_OK
     if report.status is VerificationStatus.COUNTEREXAMPLE:
@@ -156,7 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_find_w(args) -> int:
-    _emit(str(find_w(args.ell, args.v)), args.out)
+    args.emit(str(find_w(args.ell, args.v)))
     return EXIT_OK
 
 
@@ -166,12 +178,12 @@ def cmd_sharpness(args) -> int:
     witness = sharpness_probe(claim, n_max, max_precision=args.max_prec)
     if witness is None:
         if args.output == "jsonl":
-            _emit(json.dumps({"status": "inconclusive"}, separators=(",", ":")), args.out)
+            args.emit(json.dumps({"status": "inconclusive"}, separators=(",", ":")))
         else:
-            _emit("inconclusive", args.out)
+            args.emit("inconclusive")
         return EXIT_NEGATIVE
     if args.output == "jsonl":
-        _emit(
+        args.emit(
             json.dumps(
                 {
                     "status": "witness",
@@ -180,17 +192,16 @@ def cmd_sharpness(args) -> int:
                     "ord": claim.modulus_power,
                 },
                 separators=(",", ":"),
-            ),
-            args.out,
+            )
         )
     else:
-        _emit(f"{witness.n}\t{format_rational(witness.value)}\tord={claim.modulus_power}", args.out)
+        args.emit(f"{witness.n}\t{format_rational(witness.value)}\tord={claim.modulus_power}")
     return EXIT_OK
 
 
 def cmd_residues(args) -> int:
     for r in find_residues(args.d, args.ell, args.ord, args.count):
-        _emit(str(r), args.out)
+        args.emit(str(r))
     return EXIT_OK
 
 
@@ -213,7 +224,7 @@ def _seed_example_records():
 
 def cmd_seed_examples(args) -> int:
     for record in _seed_example_records():
-        _emit(json.dumps(record, separators=(",", ":")), args.out)
+        args.emit(json.dumps(record, separators=(",", ":")))
     return EXIT_OK
 
 
@@ -310,11 +321,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    output = _Output(args.out)
+    args.emit = output.emit
     try:
         return args.handler(args)
     except (UsageError, PreconditionError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    finally:
+        output.close()
 
 
 def run():

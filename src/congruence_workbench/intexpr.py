@@ -120,7 +120,10 @@ class _Parser:
             self.expect(")")
             return value
         if tok.isdigit():
-            return Fraction(int(tok))
+            try:
+                return Fraction(int(tok))
+            except ValueError as exc:  # over the interpreter's int-to-str digit limit
+                raise ExpressionError(f"integer literal of {len(tok)} digits refused: {exc}") from None
         raise ExpressionError(f"unexpected token {tok!r} in {self.source!r}")
 
 

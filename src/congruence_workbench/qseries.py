@@ -9,17 +9,24 @@ ever pads precision with fabricated zeros.
 The two entry points that matter most are :func:`euler_product`, the
 sparse pentagonal-number expansion of (q^M; q^M)_inf, and
 :func:`series_pow_rational`, which raises a series with constant term 1
-to an arbitrary rational exponent via the logarithmic-derivative
-recurrence
+to an arbitrary rational exponent alpha = a/b via the
+logarithmic-derivative recurrence (J.C.P. Miller's formula for powers of
+power series)
 
     n*g(n) = sum_{k=1..n} (alpha*k - (n-k)) * f(k) * g(n-k),
 
-one exact pass, no floating point anywhere.
+one exact pass, no floating point anywhere.  The pass is fraction-free:
+for integer f, D(n)*g(n) is an integer with
+D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
+int numerators over the common denominator D(prec-1), and every step
+ends in one exact division by b*n (checked; a remainder raises).
+Fractions are built once per coefficient at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .arith import (
     NotLIntegralError,
@@ -229,35 +236,101 @@ def series_pow_int(f: Series, e: int) -> Series:
     return result
 
 
-def series_pow_rational(f: Series, alpha) -> Series:
-    """f**alpha for rational alpha; requires f(0) = 1.
+def _clearing_scale(coeffs) -> int:
+    """A c with c^k * coeffs[k] integral for every k >= 1, grown term by term.
 
-    Exact rational output: the unique solution g of f*g' = alpha*f'*g
-    with g(0) = 1.
+    Each step multiplies in only the part of the denominator d(k) that
+    c^k does not yet cover, so a series whose d(k) grows like b^k (an
+    earlier rational power, say) gets c near b instead of lcm(d(k)).
+    """
+    scale = 1
+    for k, c in enumerate(coeffs[1:], 1):
+        if isinstance(c, QuadRational):
+            d = lcm(c.re.denominator, c.im.denominator)
+        else:
+            d = c.denominator
+        if d > 1:
+            scale *= d // gcd(d, scale**k)
+    return scale
+
+
+def _exact_div(x, d: int):
+    """x / d for an integer d that divides x (componentwise for QuadRational)."""
+    if isinstance(x, QuadRational):
+        return QuadRational(_exact_div(x.re, d), _exact_div(x.im, d))
+    q, r = divmod(x, d)
+    if r:
+        raise ArithmeticError(f"inexact division by {d} in series_pow_rational")
+    return q
+
+
+def _over(x, d: int):
+    """The exact quotient x / d, reduced, in the coefficient ring of x."""
+    if isinstance(x, QuadRational):
+        return QuadRational(Fraction(x.re, d), Fraction(x.im, d))
+    return Fraction(x, d)
+
+
+def _multiplier(n: int, b: int) -> int:
+    """D(n) / D(n-1): b times the part of n made of primes dividing b."""
+    m = b
+    g = gcd(n, b)
+    while g > 1:
+        n //= g
+        m *= g
+        g = gcd(n, g)
+    return m
+
+
+def series_pow_rational(f: Series, alpha) -> Series:
+    """f**alpha for rational alpha = a/b; requires f(0) = 1.
+
+    Exact output: the unique solution g of f*g' = alpha*f'*g with
+    g(0) = 1, as reduced ``Fraction`` values (``QuadRational`` when f
+    has such coefficients).
+
+    Fraction-free: with integer coefficients f(k), D(n)*g(n) is an integer
+    for D(n) = b^n * prod_{p | b} p^ord_p(n!), and D(n) divides D(P) for
+    P = prec - 1.  So the recurrence runs on the integers N(n) = D(P)*g(n):
+
+        b*n*N(n) = sum_{k=1..n} (a*k - b*(n-k)) * f(k) * N(n-k),
+
+    each step ending in one exact division by b*n (a nonzero remainder
+    raises ArithmeticError), and g(n) = N(n) / D(P) is formed once per
+    coefficient at the end.  Rational coefficients are first made
+    integral by f(q) -> f(c*q), with c^k * f(k) integral for every k,
+    which scales g(n) by c^n.
     """
     alpha = as_rational(alpha)
     if f.prec < 1 or f.coeff(0) != 1:
         raise PreconditionError("series_pow_rational requires constant term 1")
     a, b = alpha.numerator, alpha.denominator
     prec = f.prec
-    support = [(k, c) for k, c in enumerate(f.coeffs) if k >= 1 and c != 0]
-    out = [Fraction(1)] + [None] * (prec - 1)
+    scale = _clearing_scale(f.coeffs)
+    # weight * f(k) = u - n*v, with the coefficients made integral
+    support = []
+    for k, c in enumerate(f.coeffs):
+        if k >= 1 and c != 0:
+            c = c * scale**k
+            if isinstance(c, Fraction):
+                c = c.numerator
+            support.append(((a + b) * k * c, b * c, k))
+    denominator = 1
+    for n in range(1, prec):
+        denominator *= _multiplier(n, b)
+    num = [denominator] + [0] * (prec - 1)
     for n in range(1, prec):
         acc = 0
-        for k, c in support:
+        for u, v, k in support:
             if k > n:
                 break
-            weight = a * k - b * (n - k)
-            if weight == 0:
-                continue
-            if c == 1:
-                acc = acc + weight * out[n - k]
-            elif c == -1:
-                acc = acc - weight * out[n - k]
-            else:
-                acc = acc + weight * c * out[n - k]
-        out[n] = Fraction(acc, b * n) if isinstance(acc, int) else acc / (b * n)
-    return Series(out, prec)
+            acc += (u - n * v) * num[n - k]
+        num[n] = _exact_div(acc, b * n)
+    # convert in place, so the integers and the output are never both whole
+    for n in range(prec):
+        num[n] = _over(num[n], denominator)
+        denominator *= scale
+    return Series(num, prec)
 
 
 def frac_partition_series(alpha, prec: int) -> Series:
@@ -305,11 +378,12 @@ def series_reduce_mod(f: Series, ell: int, k: int) -> Series:
     coefficient is not ell-integral.
     """
     out = []
+    mod = ell**k
     for n, c in enumerate(f.coeffs):
         if isinstance(c, QuadRational):
             raise TypeError("series_reduce_mod is defined for rational coefficients")
         try:
-            out.append(reduce_mod_prime_power(c, ell, k))
+            out.append(reduce_mod_prime_power(c, ell, k, mod))
         except NotLIntegralError as exc:
             raise NotLIntegralError(
                 f"coefficient at exponent {n} is not {ell}-integral", index=n

@@ -9,7 +9,9 @@ recomputed from scratch.
 from fractions import Fraction
 from functools import lru_cache
 
+from congruence_workbench.arith import PreconditionError, as_rational
 from congruence_workbench.forms import a2_prime_power_iter
+from congruence_workbench.qseries import Series
 
 
 def partition_counts(n_max: int) -> list[int]:
@@ -75,6 +77,38 @@ def binomial_series_power(coeffs: list[int], alpha: Fraction, prec: int) -> list
         binom = binom * (alpha - k) / (k + 1)
         h_k = naive_product(h_k, h, prec)
     return out
+
+
+def pow_rational_by_fractions(f: Series, alpha) -> Series:
+    """f**alpha for rational alpha; requires f(0) = 1.
+
+    The log-derivative recurrence n*g(n) = sum_k (alpha*k - (n-k)) f(k)
+    g(n-k) run directly over fractions.Fraction (a gcd in every add), as
+    series_pow_rational computed it before its fraction-free kernel.
+    """
+    alpha = as_rational(alpha)
+    if f.prec < 1 or f.coeff(0) != 1:
+        raise PreconditionError("series_pow_rational requires constant term 1")
+    a, b = alpha.numerator, alpha.denominator
+    prec = f.prec
+    support = [(k, c) for k, c in enumerate(f.coeffs) if k >= 1 and c != 0]
+    out = [Fraction(1)] + [None] * (prec - 1)
+    for n in range(1, prec):
+        acc = 0
+        for k, c in support:
+            if k > n:
+                break
+            weight = a * k - b * (n - k)
+            if weight == 0:
+                continue
+            if c == 1:
+                acc = acc + weight * out[n - k]
+            elif c == -1:
+                acc = acc - weight * out[n - k]
+            else:
+                acc = acc + weight * c * out[n - k]
+        out[n] = Fraction(acc, b * n) if isinstance(acc, int) else acc / (b * n)
+    return Series(out, prec)
 
 
 def find_w_by_search(ell: int, v: int) -> int:

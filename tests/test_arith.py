@@ -171,6 +171,11 @@ class TestReduceModPrimePower:
         with pytest.raises(NotLIntegralError):
             reduce_mod_prime_power(Fraction(1, 5), 5, 1)
 
+    def test_precomputed_modulus(self):
+        x = Fraction(55615, 262144)
+        for k in (1, 2, 3, 40):
+            assert reduce_mod_prime_power(x, 7, k, 7**k) == reduce_mod_prime_power(x, 7, k)
+
     def test_residue_matches_congruence(self):
         rng = random.Random(3)
         for _ in range(300):

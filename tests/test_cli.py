@@ -1,3 +1,4 @@
+import builtins
 import json
 import subprocess
 import sys
@@ -53,6 +54,14 @@ class TestCoeffs:
         code, out, _ = run_cli(capsys, "coeffs", "--alpha", "-1/8", "--n", "30")
         assert code == 0
         assert out == "".join(f"{n}\t{c.numerator}/{c.denominator}\n" for n, c in enumerate(values))
+
+    def test_long_literal_accepted(self, capsys):
+        # cli.main lifts the 4300-digit int-to-str limit that evaluate_rational
+        # alone refuses with ExpressionError
+        literal = "9" * 5000
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", literal, "--n", "1")
+        assert code == 0
+        assert out.splitlines() == ["0\t1/1", f"1\t-{literal}/1"]
 
     def test_max_prec_refused(self, capsys):
         code, out, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "20", "--max-prec", "5")
@@ -175,6 +184,38 @@ class TestVerify:
         assert len(lines) == 2
         assert lines[0] == lines[1]
         assert json.loads(lines[0])["family"] == "cw"
+
+
+class TestOutFile:
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["coeffs", "--alpha", "-1/8", "--n", "200"]
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "coeffs.txt"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
+    def test_out_file_opened_once(self, capsys, tmp_path, monkeypatch):
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        target = tmp_path / "coeffs.txt"
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _, _ = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "50", "--out", str(target))
+        assert code == 0
+        assert opened.count(str(target)) == 1
+        assert len(target.read_text().splitlines()) == 51
+
+    def test_refused_command_creates_no_file(self, capsys, tmp_path):
+        target = tmp_path / "none.txt"
+        code, _, _ = run_cli(capsys, "coeffs", "--alpha", "1/0", "--n", "3", "--out", str(target))
+        assert code == 2
+        assert not target.exists()
 
 
 class TestFindW:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,3 +65,15 @@ def test_malformed():
     for bad in ("", "1+", "(1", "1)", "1**2", "a+1", "1 2"):
         with pytest.raises(ExpressionError):
             evaluate_rational(bad)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_literal_over_digit_limit_is_expression_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert evaluate_rational("9" * 4300) == 10**4300 - 1
+        with pytest.raises(ExpressionError, match="5000 digits"):
+            evaluate_rational("9" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)

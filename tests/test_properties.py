@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from congruence_workbench.arith import QuadRational, primes_below
 from congruence_workbench.congruence import find_w
 from congruence_workbench.intexpr import ExpressionError, evaluate_rational
-from congruence_workbench.qseries import Series, format_series_text, parse_series_text
+from congruence_workbench.qseries import (
+    Series,
+    format_series_text,
+    parse_series_text,
+    series_pow_rational,
+)
 
 from oracles import find_w_by_search
 
@@ -98,3 +103,26 @@ _prime_and_v = st.sampled_from(sorted(_PRIMES_BY_V)).flatmap(
 def test_find_w_closed_form_matches_search(case):
     ell, v = case
     assert find_w(ell, v) == find_w_by_search(ell, v)
+
+
+# -- exponent laws for series_pow_rational ---------------------------------
+
+_exponents = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+# f(0) = 1; the rest small rationals, so the kernel's rescaling q -> c*q runs too
+_unit_series = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=0, max_size=14
+).map(lambda tail: Series([Fraction(1)] + tail))
+
+
+@settings(deadline=None)
+@given(_unit_series, _exponents, _exponents)
+def test_pow_rational_exponents_add(f, a, b):
+    product = series_pow_rational(f, a) * series_pow_rational(f, b)
+    assert product == series_pow_rational(f, a + b)
+
+
+@settings(deadline=None)
+@given(_unit_series, _exponents, _exponents)
+def test_pow_rational_exponents_multiply(f, a, b):
+    # f^a has rational coefficients with denominators growing like den(a)^k
+    assert series_pow_rational(series_pow_rational(f, a), b) == series_pow_rational(f, a * b)

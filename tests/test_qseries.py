@@ -19,7 +19,15 @@ from congruence_workbench.qseries import (
     substitute_power,
 )
 
-from oracles import expected_denominator, naive_euler_product, partition_counts
+from congruence_workbench import qseries
+from congruence_workbench.arith import QuadRational
+
+from oracles import (
+    expected_denominator,
+    naive_euler_product,
+    partition_counts,
+    pow_rational_by_fractions,
+)
 
 
 def series_from_ints(values):
@@ -116,6 +124,59 @@ class TestPowRational:
             ), e
 
 
+def _fraction_series(prec):
+    """log(1 + q) / q: dense, with every k + 1 as a denominator."""
+    return Series([Fraction((-1) ** k, k + 1) for k in range(prec)])
+
+
+def _quad_series(prec):
+    return Series([1] + [QuadRational(Fraction(1, k + 1), Fraction((-1) ** k, 2)) for k in range(1, prec)])
+
+
+# name -> (builder, largest precision checked)
+_DIFFERENTIAL_SERIES = {
+    "euler1": (lambda prec: euler_product(1, prec), 300),
+    "euler5": (lambda prec: euler_product(5, prec), 300),
+    "euler7": (lambda prec: euler_product(7, prec), 300),
+    "fraction": (_fraction_series, 60),
+    "quad": (_quad_series, 40),
+}
+_DIFFERENTIAL_ALPHAS = [
+    Fraction(-1, 8), Fraction(1, 13), Fraction(97, 8), Fraction(-49, 13),
+    Fraction(1, 12), Fraction(-7, 30), 3, -1, 0,
+]
+
+
+class TestFractionFreeKernel:
+    """series_pow_rational against the Fraction recurrence it replaced."""
+
+    @pytest.mark.parametrize("alpha", _DIFFERENTIAL_ALPHAS, ids=str)
+    @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_SERIES))
+    def test_matches_fraction_oracle(self, name, alpha):
+        build, top = _DIFFERENTIAL_SERIES[name]
+        for prec in (1, 2, 13, top):
+            f = build(prec)
+            got = series_pow_rational(f, alpha).coeffs
+            want = pow_rational_by_fractions(f, alpha).coeffs
+            assert got == want, (name, alpha, prec)
+            if name != "quad":  # rational input: reduced Fractions throughout
+                assert all(type(c) is Fraction for c in got), (name, alpha, prec)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # a common denominator without the p^ord_p(n!) factors is too small
+        monkeypatch.setattr(qseries, "_multiplier", lambda n, b: b)
+        with pytest.raises(ArithmeticError):
+            series_pow_rational(euler_product(1, 10), Fraction(1, 2))
+
+    def test_rescaled_series_matches_substitution(self):
+        # f(q/3) has denominators 3^k; its power is g(q/3)
+        f = euler_product(1, 40)
+        g = series_pow_rational(f, Fraction(-1, 8))
+        f3 = Series([c * Fraction(1, 3**k) for k, c in enumerate(f.coeffs)])
+        g3 = series_pow_rational(f3, Fraction(-1, 8))
+        assert list(g3.coeffs) == [c * Fraction(1, 3**k) for k, c in enumerate(g.coeffs)]
+
+
 class TestEulerProduct:
     def test_first_coefficients(self):
         f = euler_product(1, 8)
@@ -203,6 +264,20 @@ class TestReduceMod:
     def test_zero_series(self):
         z = series_from_ints([0, 0, 0])
         assert series_reduce_mod(z, 7, 2) == z
+
+    def test_modulus_computed_once(self, monkeypatch):
+        moduli = []
+        real = qseries.reduce_mod_prime_power
+
+        def spy(x, ell, k, mod=None):
+            moduli.append(mod)
+            return real(x, ell, k, mod)
+
+        monkeypatch.setattr(qseries, "reduce_mod_prime_power", spy)
+        f = frac_partition_series(Fraction(-1, 8), 30)
+        residues = series_reduce_mod(f, 7, 3)
+        assert moduli == [7**3] * 30
+        assert [(c.numerator - r * c.denominator) % 343 for c, r in zip(f.coeffs, residues.coeffs)] == [0] * 30
 
     def test_not_l_integral_names_index(self):
         f = frac_partition_series(Fraction(1, 5), 10)
