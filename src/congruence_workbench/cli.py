@@ -314,22 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # Exact values may pass Python's default 4300-digit limit on int-to-str
     # conversion; --max-prec and MAX_POWER_BITS already bound their size.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # The limit is lifted for this call only and restored on the way out.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    output = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    output = _Output(args.out)
-    args.emit = output.emit
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        output = _Output(args.out)
+        args.emit = output.emit
         return args.handler(args)
     except (UsageError, PreconditionError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     finally:
-        output.close()
+        if output is not None:
+            output.close()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run():

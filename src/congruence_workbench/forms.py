@@ -3,7 +3,9 @@
 The d-th eta power is expanded with rescaled argument so that all
 q-exponents are integral: with g = gcd(d, 24), M = 24/g and t = d/g,
 the expansion is q^t * (q^M; q^M)_inf^d, whose coefficient at n we call
-a_d(n).
+a_d(n).  It is (q; q)_inf^d spread along q^M: a_d(M*n + t) = p_d(n), the
+same numbers the partition claims use for alpha = d, so the power comes
+from the one recurrence in ``qseries`` (with b = 1, in plain ints).
 
 Character evaluation: each form carries the numerator of a Kronecker
 symbol (or None for the principal character) together with its level;
@@ -118,18 +120,21 @@ class FormExpansion:
         raise PreconditionError(f"weight {k} is not a positive integer")
 
 
+def _divisors(n: int) -> list[int]:
+    out = []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+    return sorted(out)
+
+
 def divisor_sigma(j: int, n: int) -> int:
     """Sum of j-th powers of the positive divisors of n."""
     if n < 1:
         raise PreconditionError("divisor_sigma requires n >= 1")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**j
-            e = n // d
-            if e != d:
-                total += e**j
-    return total
+    return sum(d**j for d in _divisors(n))
 
 
 def eisenstein_series(k: int, prec: int) -> Series:
@@ -145,12 +150,18 @@ def eisenstein_series(k: int, prec: int) -> Series:
 
 
 def eta_power(d: int, prec: int) -> Series:
-    """Coefficients a_d(0..prec-1) of the rescaled d-th eta power."""
+    """Coefficients a_d(0..prec-1) of the rescaled d-th eta power.
+
+    a_d(M*n + t) = p_d(n), the coefficients of (q; q)_inf^d, and a_d is
+    zero off that progression: the power is taken once, by the
+    recurrence of ``series_pow_int``, on the unspread product with
+    P = ceil((prec - t) / M) terms, then spread along q^M and shifted by t.
+    """
     spec = EtaPowerSpec.for_power(d)
     if prec <= spec.t:
         return Series([0] * prec, prec)
-    base = euler_product(spec.M, prec - spec.t)
-    return series_shift(series_pow_int(base, d), spec.t)
+    power = series_pow_int(euler_product(1, -(-(prec - spec.t) // spec.M)), d)
+    return series_shift(substitute_power(power, spec.M).truncate(prec - spec.t), spec.t)
 
 
 def eta_form(d: int, prec: int) -> FormExpansion:
@@ -163,16 +174,6 @@ def eta_form(d: int, prec: int) -> FormExpansion:
         level=spec.M * spec.M,
         character_numerator=_eta_character_numerator(d),
     )
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 def hecke_apply(f: FormExpansion, m: int) -> Series:

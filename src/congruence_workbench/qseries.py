@@ -20,13 +20,16 @@ for integer f, D(n)*g(n) is an integer with
 D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
-Fractions are built once per coefficient at the end.
+Fractions are built once per coefficient at the end.  This is the only
+power algorithm: :func:`series_pow_int` runs the same pass with b = 1,
+where the common denominator is 1, so a series of ints gives ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 from .arith import (
     NotLIntegralError,
@@ -56,24 +59,6 @@ __all__ = [
 ]
 
 
-def _zero_like(c):
-    return c * 0
-
-
-def _reciprocal(c):
-    if isinstance(c, int):
-        if c in (1, -1):
-            return c
-        if c == 0:
-            raise ZeroDivisionError("series constant term is zero")
-        return Fraction(1, c)
-    if isinstance(c, QuadRational):
-        return c.inverse()
-    if c == 0:
-        raise ZeroDivisionError("series constant term is zero")
-    return 1 / c
-
-
 class Series:
     """Immutable truncated power series: coefficients for 0..prec-1."""
 
@@ -101,9 +86,6 @@ class Series:
 
     def nonzero_items(self):
         return [(n, c) for n, c in enumerate(self.coeffs) if c != 0]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def truncate(self, prec: int) -> "Series":
         if prec > self.prec:
@@ -202,40 +184,6 @@ def euler_product(M: int, prec: int) -> Series:
     return Series(out, prec)
 
 
-def _invert(f: Series) -> Series:
-    inv0 = _reciprocal(f.coeff(0))
-    prec = f.prec
-    support = [(k, c) for k, c in enumerate(f.coeffs) if k >= 1 and c != 0]
-    out = [inv0] + [0] * (prec - 1)
-    for n in range(1, prec):
-        acc = 0
-        for k, c in support:
-            if k > n:
-                break
-            acc = acc + c * out[n - k]
-        out[n] = -inv0 * acc if acc != 0 else _zero_like(out[0])
-    return Series(out, prec)
-
-
-def series_pow_int(f: Series, e: int) -> Series:
-    """f**e by repeated squaring; e < 0 inverts first (f(0) must be a unit)."""
-    if f.prec == 0:
-        return f
-    if e == 0:
-        one = _zero_like(f.coeffs[0]) + 1 if f.coeffs else 1
-        return Series([one] + [0] * (f.prec - 1), f.prec)
-    base = f if e > 0 else _invert(f)
-    e = abs(e)
-    result = None
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
-
-
 def _clearing_scale(coeffs) -> int:
     """A c with c^k * coeffs[k] integral for every k >= 1, grown term by term.
 
@@ -282,12 +230,45 @@ def _multiplier(n: int, b: int) -> int:
     return m
 
 
+def _power_numerators(f: Series, a: int, b: int) -> tuple[list, int, int]:
+    """The recurrence for g = f**(a/b): (N, D(P), c) with g(n) = N(n) / (D(P) * c^n).
+
+    N(n) lies in the coefficient ring of f: ints, or ``QuadRational`` values
+    with integral parts when f has any ``QuadRational`` coefficient.
+    """
+    if f.prec < 1 or f.coeff(0) != 1:
+        raise PreconditionError("series powers require constant term 1")
+    prec = f.prec
+    scale = _clearing_scale(f.coeffs)
+    zero = QuadRational(0, 0) if any(isinstance(c, QuadRational) for c in f.coeffs) else 0
+    # weight * f(k) = u - n*v, with the coefficients made integral
+    support = []
+    for k, c in enumerate(f.coeffs):
+        if k >= 1 and c != 0:
+            c = c * scale**k
+            if isinstance(c, Fraction):
+                c = c.numerator
+            support.append(((a + b) * k * c, b * c, k))
+    denominator = 1
+    for n in range(1, prec):
+        denominator *= _multiplier(n, b)
+    num = [zero + denominator] + [zero] * (prec - 1)
+    for n in range(1, prec):
+        acc = zero
+        for u, v, k in support:
+            if k > n:
+                break
+            acc += (u - n * v) * num[n - k]
+        num[n] = _exact_div(acc, b * n)
+    return num, denominator, scale
+
+
 def series_pow_rational(f: Series, alpha) -> Series:
     """f**alpha for rational alpha = a/b; requires f(0) = 1.
 
     Exact output: the unique solution g of f*g' = alpha*f'*g with
-    g(0) = 1, as reduced ``Fraction`` values (``QuadRational`` when f
-    has such coefficients).
+    g(0) = 1, as reduced ``Fraction`` values (``QuadRational`` values
+    throughout when f has any such coefficient).
 
     Fraction-free: with integer coefficients f(k), D(n)*g(n) is an integer
     for D(n) = b^n * prod_{p | b} p^ord_p(n!), and D(n) divides D(P) for
@@ -302,35 +283,25 @@ def series_pow_rational(f: Series, alpha) -> Series:
     which scales g(n) by c^n.
     """
     alpha = as_rational(alpha)
-    if f.prec < 1 or f.coeff(0) != 1:
-        raise PreconditionError("series_pow_rational requires constant term 1")
-    a, b = alpha.numerator, alpha.denominator
-    prec = f.prec
-    scale = _clearing_scale(f.coeffs)
-    # weight * f(k) = u - n*v, with the coefficients made integral
-    support = []
-    for k, c in enumerate(f.coeffs):
-        if k >= 1 and c != 0:
-            c = c * scale**k
-            if isinstance(c, Fraction):
-                c = c.numerator
-            support.append(((a + b) * k * c, b * c, k))
-    denominator = 1
-    for n in range(1, prec):
-        denominator *= _multiplier(n, b)
-    num = [denominator] + [0] * (prec - 1)
-    for n in range(1, prec):
-        acc = 0
-        for u, v, k in support:
-            if k > n:
-                break
-            acc += (u - n * v) * num[n - k]
-        num[n] = _exact_div(acc, b * n)
+    num, denominator, scale = _power_numerators(f, alpha.numerator, alpha.denominator)
     # convert in place, so the integers and the output are never both whole
-    for n in range(prec):
+    for n in range(f.prec):
         num[n] = _over(num[n], denominator)
         denominator *= scale
-    return Series(num, prec)
+    return Series(num, f.prec)
+
+
+def series_pow_int(f: Series, e: int) -> Series:
+    """f**e for an integer e by the same recurrence; requires f(0) = 1.
+
+    With b = 1 the common denominator D(P) is 1, so a series of ints
+    gives ints with no division left over; any other coefficients give
+    the :func:`series_pow_rational` result.
+    """
+    e = index(e)
+    if all(isinstance(c, int) for c in f.coeffs):
+        return Series(_power_numerators(f, e, 1)[0], f.prec)
+    return series_pow_rational(f, e)
 
 
 def frac_partition_series(alpha, prec: int) -> Series:

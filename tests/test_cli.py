@@ -3,7 +3,10 @@ import json
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from congruence_workbench.cli import main
 
@@ -14,6 +17,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def _int_str_limit(digits):
+    """Python's int-to-str digit limit set to digits (0: none) inside the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestCoeffs:
@@ -238,7 +255,25 @@ class TestFindW:
         # 13^4000 - 1 has 4456 digits, past Python's default str limit
         code, out, _ = run_cli(capsys, "find-w", "--ell", "13", "--v", "4000")
         assert code == 0
-        assert out.strip() == str(13**4000 - 1)
+        with _int_str_limit(0):
+            want = str(13**4000 - 1)
+        assert out.strip() == want
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (("find-w", "--ell", "13", "--v", "4000"), 0),
+            (("find-w", "--ell", "4", "--v", "1"), 2),
+            (("find-w", "--ell", "13"), 2),
+        ],
+        ids=["success", "refused", "usage"],
+    )
+    def test_int_str_limit_restored(self, capsys, argv, exit_code):
+        # main lifts the limit to print huge exact values, for its own call only
+        with _int_str_limit(4300):
+            assert run_cli(capsys, *argv)[0] == exit_code
+            assert sys.get_int_max_str_digits() == 4300
 
     def test_nonprime_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "find-w", "--ell", "4", "--v", "1")

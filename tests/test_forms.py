@@ -90,11 +90,16 @@ class TestEtaPower:
                     assert c == 0, (d, n)
 
     def test_matches_naive_expansion(self):
-        base = naive_euler_product(6, 49)
-        expected = naive_power(base, 4, 49)
-        f = eta_power(4, 50)
-        assert [int(c) for c in f.coeffs[1:]] == expected
-        assert f.coeff(0) == 0
+        for d in range(1, 27):
+            spec = EtaPowerSpec.for_power(d)
+            for prec in (spec.t, spec.t + 1, spec.t + spec.M, 200):
+                f = eta_power(d, prec)
+                tail = prec - spec.t
+                expected = [0] * spec.t
+                if tail:
+                    expected += naive_power(naive_euler_product(spec.M, tail), d, tail)
+                assert list(f.coeffs) == expected[:prec], (d, prec)
+                assert all(type(c) is int for c in f.coeffs), (d, prec)
 
     def test_shift_of_squared_product(self):
         from congruence_workbench.qseries import series_pow_int, series_shift

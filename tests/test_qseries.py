@@ -23,8 +23,10 @@ from congruence_workbench import qseries
 from congruence_workbench.arith import QuadRational
 
 from oracles import (
+    binomial_series_power,
     expected_denominator,
     naive_euler_product,
+    naive_power,
     partition_counts,
     pow_rational_by_fractions,
 )
@@ -81,8 +83,24 @@ class TestPowInt:
         assert series_pow_int(f, 2) == f * f
 
     def test_noninvertible_constant_term(self):
-        with pytest.raises(ZeroDivisionError):
+        # one recurrence for every power: it needs f(0) = 1, like series_pow_rational
+        with pytest.raises(PreconditionError):
             series_pow_int(series_from_ints([0, 1, 1]), -1)
+        with pytest.raises(PreconditionError):
+            series_pow_int(series_from_ints([2, 1, 1]), -1)
+
+    @pytest.mark.parametrize("M", [1, 5, 12])
+    def test_matches_schoolbook_and_binomial_oracles(self, M):
+        base = naive_euler_product(M, 120)
+        f = euler_product(M, 120)
+        for e in range(1, 27):
+            got = series_pow_int(f, e).coeffs
+            assert list(got) == naive_power(base, e, 120), (M, e)
+            assert all(type(c) is int for c in got), (M, e)
+        for e in range(-3, 0):
+            got = series_pow_int(f, e).coeffs
+            assert list(got) == binomial_series_power(base, Fraction(e), 120), (M, e)
+            assert all(type(c) is int for c in got), (M, e)
 
 
 class TestPowRational:
@@ -115,13 +133,16 @@ class TestPowRational:
             assert lhs == rhs
 
     def test_integer_consistency(self):
-        f = euler_product(1, 40)
-        for e in range(-3, 4):
-            via_rational = series_pow_rational(f, e)
-            via_int = series_pow_int(f, e)
-            assert all(
-                via_rational.coeff(n) == via_int.coeff(n) for n in range(f.prec)
-            ), e
+        # rational coefficients: series_pow_int gives the series_pow_rational result itself
+        rational = Series([Fraction(1), Fraction(1, 2), Fraction(-1, 3)] + [Fraction(0)] * 37)
+        for f in (euler_product(1, 40), rational):
+            for e in range(-3, 4):
+                via_rational = series_pow_rational(f, e)
+                via_int = series_pow_int(f, e)
+                assert all(
+                    via_rational.coeff(n) == via_int.coeff(n) for n in range(f.prec)
+                ), e
+        assert all(type(c) is Fraction for c in series_pow_int(rational, 3).coeffs)
 
 
 def _fraction_series(prec):
@@ -159,7 +180,9 @@ class TestFractionFreeKernel:
             got = series_pow_rational(f, alpha).coeffs
             want = pow_rational_by_fractions(f, alpha).coeffs
             assert got == want, (name, alpha, prec)
-            if name != "quad":  # rational input: reduced Fractions throughout
+            if any(type(c) is QuadRational for c in f.coeffs):  # one ring, index 0 included
+                assert all(type(c) is QuadRational for c in got), (name, alpha, prec)
+            else:  # rational input: reduced Fractions throughout
                 assert all(type(c) is Fraction for c in got), (name, alpha, prec)
 
     def test_inexact_division_raises(self, monkeypatch):
