@@ -23,6 +23,7 @@ __all__ = [
     "as_rational",
     "check_power_cap",
     "chi_eta",
+    "eta_character_numerator",
     "format_quad",
     "format_rational",
     "is_prime",
@@ -236,19 +237,28 @@ def legendre_symbol(a: int, ell: int) -> int:
     return kronecker_symbol(a, ell)
 
 
+def eta_character_numerator(d: int) -> int:
+    """The eta-power character table: the numerator a of the Kronecker symbol (a/.) for d.
+
+    Even d: (-1)^(d/2).  Odd d coprime to 6: 12.  Odd multiples of 3: -4.
+    """
+    if d % 2 == 0:
+        return -1 if (d // 2) % 2 else 1
+    if d % 3 == 0:
+        return -4
+    return 12
+
+
 def chi_eta(d: int, m: int) -> int:
     """Character value attached to the d-th eta power, evaluated at m >= 1.
 
-    Even d: ((-1)^(d/2) / m).  Odd d coprime to 6: (12/m).  Odd multiples
-    of 3: (-4/m).
+    The bare Kronecker symbol (a/m) for a = eta_character_numerator(d);
+    ``forms.eta_form`` reads the same table and also zeroes the value at
+    the primes dividing its level.
     """
     if m < 1:
         raise PreconditionError("chi_eta requires m >= 1")
-    if d % 2 == 0:
-        return kronecker_symbol(-1 if (d // 2) % 2 else 1, m)
-    if d % 3 == 0:
-        return kronecker_symbol(-4, m)
-    return kronecker_symbol(12, m)
+    return kronecker_symbol(eta_character_numerator(d), m)
 
 
 def reduce_mod_prime_power(x, ell: int, k: int, mod: int | None = None) -> int:

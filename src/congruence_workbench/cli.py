@@ -109,6 +109,8 @@ def _emit_values(args, items, fmt):
 
 
 def _series_prec(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     prec = args.n + 1
     if prec > args.max_prec:
         raise UsageError(f"--n {args.n} needs series precision {prec}, above the cap {args.max_prec}")

@@ -8,7 +8,8 @@ same numbers the partition claims use for alpha = d, so the power comes
 from the one recurrence in ``qseries`` (with b = 1, in plain ints).
 
 Character evaluation: each form carries the numerator of a Kronecker
-symbol (or None for the principal character) together with its level;
+symbol (or None for the principal character; eta powers read theirs from
+``arith.eta_character_numerator``) together with its level;
 values are taken as a Dirichlet character modulo the level, i.e. zero
 whenever the argument shares a factor with the level.  Evaluating the
 bare Kronecker symbol instead would report spurious eigenform failures
@@ -26,6 +27,7 @@ from typing import Iterator
 from .arith import (
     PreconditionError,
     QuadRational,
+    eta_character_numerator,
     is_prime,
     kronecker_symbol,
     primes_below,
@@ -76,14 +78,6 @@ class EtaPowerSpec:
             )
         g = gcd(d, 24)
         return cls(d, 24 // g, d // g)
-
-
-def _eta_character_numerator(d: int) -> int:
-    if d % 2 == 0:
-        return -1 if (d // 2) % 2 else 1
-    if d % 3 == 0:
-        return -4
-    return 12
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,7 @@ def eta_form(d: int, prec: int) -> FormExpansion:
         series=eta_power(d, prec),
         weight=weight,
         level=spec.M * spec.M,
-        character_numerator=_eta_character_numerator(d),
+        character_numerator=eta_character_numerator(d),
     )
 
 
@@ -294,35 +288,24 @@ def serre_components(d: int, prec: int) -> list[Series]:
     ]
 
 
-def _a2_character(ell: int) -> int:
-    # Dirichlet character of the weight-1 eta-square form, modulo its level:
-    # zero at the primes dividing 12, the d = 2 Kronecker value elsewhere.
-    if ell in (2, 3):
-        return 0
-    return kronecker_symbol(-1, ell)
-
-
-def a2_coefficient_at_prime(ell: int) -> int:
-    """a_2(ell), read off the expansion (exact integer)."""
-    return eta_power(2, ell + 1).coeff(ell)
-
-
 def a2_prime_power_iter(ell: int, v: int) -> Iterator[int]:
     """Residues a_2(ell^i) mod ell^v for i = 0, 1, 2, ... (never ends).
 
-    Seeds a_2(1) = 1 and a_2(ell) from the expansion, then iterates the
-    Hecke two-term recursion a_2(ell^(i+1)) = a_2(ell)a_2(ell^i)
-    - chi(ell) a_2(ell^(i-1)) in residue arithmetic.  For primes in the
-    1 mod 12 class the character value is 1 and this is the textbook
-    recursion; for 2 and 3 the character term vanishes.
+    Seeds a_2(1) = 1 and reads a_2(ell) and chi(ell) off ``eta_form(2,
+    ell + 1)``, then iterates the Hecke two-term recursion
+    a_2(ell^(i+1)) = a_2(ell)a_2(ell^i) - chi(ell) a_2(ell^(i-1)) in
+    residue arithmetic.  For primes in the 1 mod 12 class the character
+    value is 1 and this is the textbook recursion; for 2 and 3, which
+    divide the level 144, the character term vanishes.
     """
     if not is_prime(ell):
         raise PreconditionError(f"{ell} is not prime")
     if v < 1:
         raise PreconditionError("a2_prime_power_iter requires v >= 1")
     mod = ell**v
-    a1 = a2_coefficient_at_prime(ell) % mod
-    chi = _a2_character(ell)
+    form = eta_form(2, ell + 1)
+    a1 = form.series.coeff(ell) % mod
+    chi = form.character_value(ell)
     prev, cur = 1 % mod, a1
     yield prev
     while True:

@@ -9,7 +9,9 @@ be written as ``(13^12-1)/12`` instead of a 13-digit literal.
 A power b^e is refused when |e| * max(bits(numerator), bits(denominator))
 of b exceeds ``MAX_POWER_BITS`` (2^20 bits, about 315,000 decimal
 digits), so ``9^9^9`` fails at once instead of building a number of about
-3.7*10^8 digits.  The bases 0, 1 and -1 are exempt.
+3.7*10^8 digits.  The bases 0, 1 and -1 are exempt.  The parser recurses
+once per parenthesis, unary sign and ``^``; input nested past the
+interpreter's recursion limit is refused with ExpressionError too.
 """
 
 from __future__ import annotations
@@ -105,8 +107,10 @@ class _Parser:
                 raise ExpressionError(f"zero raised to a negative power in {self.source!r}")
             bits = abs(e) * max(base.numerator.bit_length(), base.denominator.bit_length())
             if base not in (0, 1, -1) and bits > MAX_POWER_BITS:
+                # the estimate itself may have thousands of digits: print its size
                 raise ExpressionError(
-                    f"power of about {bits} bits exceeds the {MAX_POWER_BITS}-bit cap in {self.source!r}"
+                    f"power of over 2^{bits.bit_length() - 1} bits exceeds the "
+                    f"{MAX_POWER_BITS}-bit cap in {self.source!r}"
                 )
             return base**e
         return base
@@ -132,7 +136,10 @@ def evaluate_rational(text: str):
     tokens = _tokenize(text)
     if not tokens:
         raise ExpressionError("empty expression")
-    return _Parser(tokens, text).parse()
+    try:
+        return _Parser(tokens, text).parse()
+    except RecursionError:  # one frame per parenthesis, unary sign and '^'
+        raise ExpressionError(f"expression of {len(text)} characters is nested too deeply") from None
 
 
 def evaluate_int(text: str) -> int:

@@ -8,8 +8,8 @@ ever pads precision with fabricated zeros.
 
 The two entry points that matter most are :func:`euler_product`, the
 sparse pentagonal-number expansion of (q^M; q^M)_inf, and
-:func:`series_pow_rational`, which raises a series with constant term 1
-to an arbitrary rational exponent alpha = a/b via the
+:func:`series_pow_rational`, which raises a series of ints with constant
+term 1 to an arbitrary rational exponent alpha = a/b via the
 logarithmic-derivative recurrence (J.C.P. Miller's formula for powers of
 power series)
 
@@ -20,15 +20,17 @@ for integer f, D(n)*g(n) is an integer with
 D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
-Fractions are built once per coefficient at the end.  This is the only
-power algorithm: :func:`series_pow_int` runs the same pass with b = 1,
-where the common denominator is 1, so a series of ints gives ints.
+Fractions are built once per coefficient at the end, so rationals
+appear only in the output.  Input coefficients must be ``int``; any
+other raises TypeError.  This is the only power algorithm:
+:func:`series_pow_int` runs the same pass with b = 1, where the common
+denominator is 1, so the result is ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import index
 
 from .arith import (
@@ -184,41 +186,6 @@ def euler_product(M: int, prec: int) -> Series:
     return Series(out, prec)
 
 
-def _clearing_scale(coeffs) -> int:
-    """A c with c^k * coeffs[k] integral for every k >= 1, grown term by term.
-
-    Each step multiplies in only the part of the denominator d(k) that
-    c^k does not yet cover, so a series whose d(k) grows like b^k (an
-    earlier rational power, say) gets c near b instead of lcm(d(k)).
-    """
-    scale = 1
-    for k, c in enumerate(coeffs[1:], 1):
-        if isinstance(c, QuadRational):
-            d = lcm(c.re.denominator, c.im.denominator)
-        else:
-            d = c.denominator
-        if d > 1:
-            scale *= d // gcd(d, scale**k)
-    return scale
-
-
-def _exact_div(x, d: int):
-    """x / d for an integer d that divides x (componentwise for QuadRational)."""
-    if isinstance(x, QuadRational):
-        return QuadRational(_exact_div(x.re, d), _exact_div(x.im, d))
-    q, r = divmod(x, d)
-    if r:
-        raise ArithmeticError(f"inexact division by {d} in series_pow_rational")
-    return q
-
-
-def _over(x, d: int):
-    """The exact quotient x / d, reduced, in the coefficient ring of x."""
-    if isinstance(x, QuadRational):
-        return QuadRational(Fraction(x.re, d), Fraction(x.im, d))
-    return Fraction(x, d)
-
-
 def _multiplier(n: int, b: int) -> int:
     """D(n) / D(n-1): b times the part of n made of primes dividing b."""
     m = b
@@ -230,45 +197,43 @@ def _multiplier(n: int, b: int) -> int:
     return m
 
 
-def _power_numerators(f: Series, a: int, b: int) -> tuple[list, int, int]:
-    """The recurrence for g = f**(a/b): (N, D(P), c) with g(n) = N(n) / (D(P) * c^n).
+def _power_numerators(f: Series, a: int, b: int) -> tuple[list[int], int]:
+    """The recurrence for g = f**(a/b): (N, D(P)) with g(n) = N(n) / D(P).
 
-    N(n) lies in the coefficient ring of f: ints, or ``QuadRational`` values
-    with integral parts when f has any ``QuadRational`` coefficient.
+    Only ``int`` coefficients are accepted; any other raises TypeError.
     """
     if f.prec < 1 or f.coeff(0) != 1:
         raise PreconditionError("series powers require constant term 1")
     prec = f.prec
-    scale = _clearing_scale(f.coeffs)
-    zero = QuadRational(0, 0) if any(isinstance(c, QuadRational) for c in f.coeffs) else 0
-    # weight * f(k) = u - n*v, with the coefficients made integral
+    # weight * f(k) = u - n*v
     support = []
     for k, c in enumerate(f.coeffs):
+        if not isinstance(c, int):
+            raise TypeError("series powers are defined for int coefficients")
         if k >= 1 and c != 0:
-            c = c * scale**k
-            if isinstance(c, Fraction):
-                c = c.numerator
             support.append(((a + b) * k * c, b * c, k))
     denominator = 1
     for n in range(1, prec):
         denominator *= _multiplier(n, b)
-    num = [zero + denominator] + [zero] * (prec - 1)
+    num = [denominator] + [0] * (prec - 1)
     for n in range(1, prec):
-        acc = zero
+        acc = 0
         for u, v, k in support:
             if k > n:
                 break
             acc += (u - n * v) * num[n - k]
-        num[n] = _exact_div(acc, b * n)
-    return num, denominator, scale
+        num[n], rest = divmod(acc, b * n)
+        if rest:
+            raise ArithmeticError(f"inexact division by {b * n} in the power recurrence")
+    return num, denominator
 
 
 def series_pow_rational(f: Series, alpha) -> Series:
-    """f**alpha for rational alpha = a/b; requires f(0) = 1.
+    """f**alpha for rational alpha = a/b; requires f(0) = 1 and int coefficients.
 
     Exact output: the unique solution g of f*g' = alpha*f'*g with
-    g(0) = 1, as reduced ``Fraction`` values (``QuadRational`` values
-    throughout when f has any such coefficient).
+    g(0) = 1, as reduced ``Fraction`` values.  A coefficient that is not
+    an ``int`` raises TypeError.
 
     Fraction-free: with integer coefficients f(k), D(n)*g(n) is an integer
     for D(n) = b^n * prod_{p | b} p^ord_p(n!), and D(n) divides D(P) for
@@ -278,30 +243,24 @@ def series_pow_rational(f: Series, alpha) -> Series:
 
     each step ending in one exact division by b*n (a nonzero remainder
     raises ArithmeticError), and g(n) = N(n) / D(P) is formed once per
-    coefficient at the end.  Rational coefficients are first made
-    integral by f(q) -> f(c*q), with c^k * f(k) integral for every k,
-    which scales g(n) by c^n.
+    coefficient at the end.
     """
     alpha = as_rational(alpha)
-    num, denominator, scale = _power_numerators(f, alpha.numerator, alpha.denominator)
+    num, denominator = _power_numerators(f, alpha.numerator, alpha.denominator)
     # convert in place, so the integers and the output are never both whole
     for n in range(f.prec):
-        num[n] = _over(num[n], denominator)
-        denominator *= scale
+        num[n] = Fraction(num[n], denominator)
     return Series(num, f.prec)
 
 
 def series_pow_int(f: Series, e: int) -> Series:
-    """f**e for an integer e by the same recurrence; requires f(0) = 1.
+    """f**e for an integer e by the same recurrence; requires f(0) = 1 and int coefficients.
 
-    With b = 1 the common denominator D(P) is 1, so a series of ints
-    gives ints with no division left over; any other coefficients give
-    the :func:`series_pow_rational` result.
+    With b = 1 the common denominator D(P) is 1, so the result is the
+    ``int`` numerators themselves.  A coefficient that is not an ``int``
+    raises TypeError.
     """
-    e = index(e)
-    if all(isinstance(c, int) for c in f.coeffs):
-        return Series(_power_numerators(f, e, 1)[0], f.prec)
-    return series_pow_rational(f, e)
+    return Series(_power_numerators(f, index(e), 1)[0], f.prec)
 
 
 def frac_partition_series(alpha, prec: int) -> Series:

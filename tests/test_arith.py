@@ -21,6 +21,7 @@ from congruence_workbench.arith import (
     primes_below,
     reduce_mod_prime_power,
 )
+from congruence_workbench.forms import eta_form
 
 from oracles import euler_criterion, squares_mod
 
@@ -152,6 +153,12 @@ class TestChiEta:
         assert chi_eta(5, 7) == kronecker_symbol(12, 7)
         assert chi_eta(3, 5) == kronecker_symbol(-4, 5)
         assert chi_eta(9, 7) == kronecker_symbol(-4, 7)
+        # one table: off the primes 2 and 3 of its level, eta_form agrees
+        for d in range(1, 50):
+            form = eta_form(d, 1)
+            for m in range(1, 200):
+                if m % 2 and m % 3:
+                    assert chi_eta(d, m) == form.character_value(m), (d, m)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(PreconditionError):

@@ -95,6 +95,19 @@ class TestCoeffs:
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+    def test_power_cap_message_is_one_short_line(self, capsys):
+        with _int_str_limit(4300):
+            code, out, err = run_cli(capsys, "coeffs", "--alpha", "2^2^2^2^2^2", "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "cap" in err and len(err.encode()) < 300
+
+    def test_negative_n_refused(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 class TestEta:
     def test_weight_one_values(self, capsys):
         code, out, _ = run_cli(capsys, "eta", "--d", "2", "--n", "13")
@@ -113,6 +126,11 @@ class TestEta:
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert run_cli(capsys, "eta", "--d", "2", "--n", "13", "--max-prec", "14")[0] == 0
+
+    def test_negative_n_refused(self, capsys):
+        code, out, err = run_cli(capsys, "eta", "--d", "2", "--n", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_rejects_nonpositive_d(self, capsys):
         code, _, err = run_cli(capsys, "eta", "--d", "0", "--n", "5")
@@ -370,3 +388,21 @@ def test_usage_error_exits_2(capsys):
 def test_no_command_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+_DEEP_FLAGS = {
+    "parentheses": ("coeffs", "--alpha", "(" * 1000 + "1" + ")" * 1000, "--n", "3"),
+    "power-chain": ("coeffs", "--alpha", "^".join(["1"] * 1000), "--n", "3"),
+    "negations": (
+        "verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5",
+        "--r", "-(" * 1000 + "1" + ")" * 1000,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", _DEEP_FLAGS.values(), ids=_DEEP_FLAGS.keys())
+def test_deeply_nested_expression_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "nested too deeply" in err

@@ -277,6 +277,14 @@ class TestA2PrimePowerSequence:
             assert seq[3] == direct.coeff(125) % 5**v == 0
             assert seq[4] == 1
 
+    @pytest.mark.parametrize("ell, i_max", [(2, 10), (3, 6), (7, 3), (11, 2), (37, 1)])
+    def test_character_zero_at_primes_of_the_level(self, ell, i_max):
+        # chi(ell) comes from eta_form(2, .), whose level 144 zeroes it at 2 and 3
+        direct = eta_power(2, ell**i_max + 1)
+        for v in (1, 2):
+            seq = a2_prime_power_sequence(ell, v, i_max)
+            assert seq == [direct.coeff(ell**i) % ell**v for i in range(i_max + 1)], v
+
     def test_rejects_nonprime(self):
         with pytest.raises(PreconditionError):
             a2_prime_power_sequence(6, 1, 3)

@@ -77,3 +77,29 @@ def test_literal_over_digit_limit_is_expression_error():
             evaluate_rational("9" * 5000)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_power_cap_message_is_bounded():
+    # the bit estimate of 2^2^2^2^2^2 has about 19,700 decimal digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ExpressionError, match="cap") as info:
+            evaluate_rational("2^2^2^2^2^2")
+        assert len(str(info.value)) < 200
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+DEEP_EXPRESSIONS = {
+    "parentheses": "(" * 1000 + "1" + ")" * 1000,
+    "power-chain": "^".join(["1"] * 1000),
+    "negations": "-(" * 1000 + "1" + ")" * 1000,
+}
+
+
+@pytest.mark.parametrize("text", DEEP_EXPRESSIONS.values(), ids=DEEP_EXPRESSIONS.keys())
+def test_deep_nesting_is_expression_error(text):
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        evaluate_rational(text)

@@ -133,25 +133,32 @@ class TestPowRational:
             assert lhs == rhs
 
     def test_integer_consistency(self):
-        # rational coefficients: series_pow_int gives the series_pow_rational result itself
+        f = euler_product(1, 40)
+        for e in range(-3, 4):
+            via_rational = series_pow_rational(f, e)
+            via_int = series_pow_int(f, e)
+            assert all(via_rational.coeff(n) == via_int.coeff(n) for n in range(f.prec)), e
+        # the kernel takes int series only: rational coefficients are refused
         rational = Series([Fraction(1), Fraction(1, 2), Fraction(-1, 3)] + [Fraction(0)] * 37)
-        for f in (euler_product(1, 40), rational):
-            for e in range(-3, 4):
-                via_rational = series_pow_rational(f, e)
-                via_int = series_pow_int(f, e)
-                assert all(
-                    via_rational.coeff(n) == via_int.coeff(n) for n in range(f.prec)
-                ), e
-        assert all(type(c) is Fraction for c in series_pow_int(rational, 3).coeffs)
+        with pytest.raises(TypeError):
+            series_pow_rational(rational, 3)
+        with pytest.raises(TypeError):
+            series_pow_int(rational, 3)
 
-
-def _fraction_series(prec):
-    """log(1 + q) / q: dense, with every k + 1 as a denominator."""
-    return Series([Fraction((-1) ** k, k + 1) for k in range(prec)])
-
-
-def _quad_series(prec):
-    return Series([1] + [QuadRational(Fraction(1, k + 1), Fraction((-1) ** k, 2)) for k in range(1, prec)])
+    def test_only_int_coefficients(self):
+        fraction = Series([1] + [Fraction((-1) ** k, k + 1) for k in range(1, 20)])
+        quad = Series([1] + [QuadRational(Fraction(1, k + 1), Fraction((-1) ** k, 2)) for k in range(1, 20)])
+        for f in (fraction, quad):
+            with pytest.raises(TypeError):
+                series_pow_rational(f, Fraction(-1, 8))
+            with pytest.raises(TypeError):
+                series_pow_int(f, 2)
+        # the constant-term check comes first, whatever the ring
+        for f in (Series([2, 1, 1]), Series([Fraction(1, 2), Fraction(1, 3)])):
+            with pytest.raises(PreconditionError):
+                series_pow_rational(f, Fraction(-1, 8))
+            with pytest.raises(PreconditionError):
+                series_pow_int(f, 2)
 
 
 # name -> (builder, largest precision checked)
@@ -159,8 +166,8 @@ _DIFFERENTIAL_SERIES = {
     "euler1": (lambda prec: euler_product(1, prec), 300),
     "euler5": (lambda prec: euler_product(5, prec), 300),
     "euler7": (lambda prec: euler_product(7, prec), 300),
-    "fraction": (_fraction_series, 60),
-    "quad": (_quad_series, 40),
+    # dense: the partition numbers
+    "partitions": (lambda prec: series_pow_int(euler_product(1, prec), -1), 120),
 }
 _DIFFERENTIAL_ALPHAS = [
     Fraction(-1, 8), Fraction(1, 13), Fraction(97, 8), Fraction(-49, 13),
@@ -180,24 +187,13 @@ class TestFractionFreeKernel:
             got = series_pow_rational(f, alpha).coeffs
             want = pow_rational_by_fractions(f, alpha).coeffs
             assert got == want, (name, alpha, prec)
-            if any(type(c) is QuadRational for c in f.coeffs):  # one ring, index 0 included
-                assert all(type(c) is QuadRational for c in got), (name, alpha, prec)
-            else:  # rational input: reduced Fractions throughout
-                assert all(type(c) is Fraction for c in got), (name, alpha, prec)
+            assert all(type(c) is Fraction for c in got), (name, alpha, prec)
 
     def test_inexact_division_raises(self, monkeypatch):
         # a common denominator without the p^ord_p(n!) factors is too small
         monkeypatch.setattr(qseries, "_multiplier", lambda n, b: b)
         with pytest.raises(ArithmeticError):
             series_pow_rational(euler_product(1, 10), Fraction(1, 2))
-
-    def test_rescaled_series_matches_substitution(self):
-        # f(q/3) has denominators 3^k; its power is g(q/3)
-        f = euler_product(1, 40)
-        g = series_pow_rational(f, Fraction(-1, 8))
-        f3 = Series([c * Fraction(1, 3**k) for k, c in enumerate(f.coeffs)])
-        g3 = series_pow_rational(f3, Fraction(-1, 8))
-        assert list(g3.coeffs) == [c * Fraction(1, 3**k) for k, c in enumerate(g.coeffs)]
 
 
 class TestEulerProduct:
