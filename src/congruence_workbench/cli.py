@@ -8,7 +8,9 @@ codes: 0 success/verified, 1 counterexample or inconclusive probe,
 Integer flags accept either decimal literals or exact arithmetic
 expressions such as ``(13^12-1)/12``; rational flags accept ``a/b``
 or the same expression syntax.  ``--max-prec`` caps the series
-precision of coeffs, eta, verify and sharpness.
+precision of coeffs, eta, verify and sharpness, and the number of
+residues printed.  A ``--out`` file that cannot be written is a usage
+failure (exit 2).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .congruence import (
 )
 from .forms import eta_power
 from .intexpr import ExpressionError, evaluate_int, evaluate_rational
-from .qseries import frac_partition_series, series_reduce_mod
+from .qseries import euler_product, frac_partition_series, series_pow_numerators, series_reduce_mod
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -91,13 +93,22 @@ class _Output:
         if self.path is None:
             print(line)
             return
-        if self.file is None:
-            self.file = open(self.path, "a", encoding="utf-8")
-        self.file.write(line + "\n")
+        try:
+            if self.file is None:
+                self.file = open(self.path, "a", encoding="utf-8")
+            self.file.write(line + "\n")
+        except OSError as exc:
+            raise self._unwritable(exc) from None
 
     def close(self):
         if self.file is not None:
-            self.file.close()
+            try:
+                self.file.close()
+            except OSError as exc:
+                raise self._unwritable(exc) from None
+
+    def _unwritable(self, exc: OSError) -> UsageError:
+        return UsageError(f"cannot write the --out file: {exc.strerror or exc}")
 
 
 def _emit_values(args, items, fmt):
@@ -143,12 +154,14 @@ def _require(args, name: str) -> int:
 
 def cmd_coeffs(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    series = frac_partition_series(alpha, _series_prec(args))
-    if args.mod is not None:
-        ell, k = _parse_mod(args.mod)
-        _emit_values(args, enumerate(series_reduce_mod(series, ell, k).coeffs), str)
-    else:
-        _emit_values(args, enumerate(series.coeffs), format_rational)
+    prec = _series_prec(args)
+    if args.mod is None:
+        _emit_values(args, enumerate(frac_partition_series(alpha, prec).coeffs), format_rational)
+        return EXIT_OK
+    # residues N(n) * D^-1 mod L^K straight from the kernel's int numerators
+    ell, k = _parse_mod(args.mod)
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
+    _emit_values(args, enumerate(series_reduce_mod(numerators, ell, k, denominator).coeffs), str)
     return EXIT_OK
 
 
@@ -202,6 +215,8 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_residues(args) -> int:
+    if args.count > args.max_prec:
+        raise UsageError(f"--count {args.count} is above the cap {args.max_prec} (--max-prec)")
     for r in find_residues(args.d, args.ell, args.ord, args.count):
         args.emit(str(r))
     return EXIT_OK
@@ -251,7 +266,7 @@ def _common_flags() -> argparse.ArgumentParser:
         "--max-prec",
         type=int,
         default=DEFAULT_MAX_PRECISION,
-        help="refuse runs needing more series precision than this",
+        help="refuse runs needing more series precision, or printing more residues, than this",
     )
     return common
 
@@ -320,7 +335,6 @@ def main(argv=None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
-    output = None
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -328,13 +342,14 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         output = _Output(args.out)
         args.emit = output.emit
-        return args.handler(args)
+        try:
+            return args.handler(args)
+        finally:
+            output.close()
     except (UsageError, PreconditionError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     finally:
-        if output is not None:
-            output.close()
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 

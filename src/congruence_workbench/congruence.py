@@ -13,8 +13,10 @@ ell^m for all n":
   modulus lowered by one resp. two powers.
 
 Builders validate every hypothesis eagerly and name the failed one;
-verifiers only scan coefficients.  Verification is over a finite range
-and reports VERIFIED_IN_RANGE, never "proved".
+verifiers only scan coefficients: the power kernel's integer numerators
+over its common denominator.  They build a ``Fraction`` only for the one
+counterexample or witness value they report.  Verification is over a
+finite range and reports VERIFIED_IN_RANGE, never "proved".
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ from .arith import (
     legendre_symbol,
     padic_ord,
 )
-from .qseries import extract_progression, frac_partition_series, series_reduce_mod
+from .qseries import (
+    euler_product,
+    extract_progression,
+    frac_partition_series,
+    series_pow_numerators,
+    series_reduce_mod,
+)
 
 __all__ = [
     "ClaimFamily",
@@ -364,14 +372,22 @@ def required_precision(claim: CongruenceClaim, n_max: int) -> int:
 
 
 def _progression_values(claim: CongruenceClaim, n_max: int, max_precision: int | None):
+    """(N, D): the progression's int numerators and their common denominator."""
     prec = required_precision(claim, n_max)
     if max_precision is not None and prec > max_precision:
         raise PrecisionCapExceeded(
             f"verifying {claim.describe()} to n_max = {n_max} needs series precision "
             f"{prec}, above the cap {max_precision}"
         )
-    fps = frac_partition_series(claim.alpha, prec)
-    return extract_progression(fps, claim.progression_modulus, claim.r).truncate(n_max + 1)
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), claim.alpha)
+    values = extract_progression(numerators, claim.progression_modulus, claim.r)
+    return values.truncate(n_max + 1), denominator
+
+
+def _exact_value(claim: CongruenceClaim, n: int):
+    """p_alpha(ell^e * n + r) as a Fraction, from the exact kernel run only that far."""
+    index = claim.progression_modulus * n + claim.r
+    return frac_partition_series(claim.alpha, index + 1).coeff(index)
 
 
 def verify_claim(
@@ -379,22 +395,25 @@ def verify_claim(
 ) -> VerificationReport:
     """Check the claim for 0 <= n <= n_max against the exact expansion.
 
-    The first failing n (if any) is reported with the exact coefficient
-    and its ell-adic ord.  A non-ell-integral coefficient turns into
-    PRECONDITION_FAILED rather than an exception.
+    The check reads the kernel's int numerators N(n) mod ell^modulus_power
+    over the common denominator D, an ell-unit for every claim a builder
+    accepts.  The first failing n (if any) is reported with the exact
+    coefficient and its ell-adic ord; that value is the only Fraction
+    built.  A non-ell-integral coefficient turns into PRECONDITION_FAILED
+    rather than an exception.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
-    values = _progression_values(claim, n_max, max_precision)
+    values, denominator = _progression_values(claim, n_max, max_precision)
     try:
-        residues = series_reduce_mod(values, claim.ell, claim.modulus_power)
+        residues = series_reduce_mod(values, claim.ell, claim.modulus_power, denominator)
     except NotLIntegralError as exc:
         return VerificationReport(
             claim, n_max, VerificationStatus.PRECONDITION_FAILED, note=str(exc)
         )
     for n, residue in enumerate(residues.coeffs):
         if residue != 0:
-            value = values.coeff(n)
+            value = _exact_value(claim, n)
             return VerificationReport(
                 claim,
                 n_max,
@@ -411,14 +430,16 @@ def sharpness_probe(
 
     Such a witness shows the modulus exponent cannot be raised.  None
     means inconclusive: absence of a witness in range proves nothing.
+    The ord is read as ord_ell(N(n)) - ord_ell(D) on ints; only the
+    witness's value is built as a Fraction.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
-    values = _progression_values(claim, n_max, max_precision)
-    for n in range(n_max + 1):
-        value = values.coeff(n)
-        if value != 0 and padic_ord(value, claim.ell) == claim.modulus_power:
-            return SharpnessWitness(n=n, value=value)
+    values, denominator = _progression_values(claim, n_max, max_precision)
+    shift = padic_ord(denominator, claim.ell)
+    for n, numerator in enumerate(values.coeffs):
+        if numerator != 0 and padic_ord(numerator, claim.ell) - shift == claim.modulus_power:
+            return SharpnessWitness(n=n, value=_exact_value(claim, n))
     return None
 
 

@@ -12,6 +12,7 @@ digits), so ``9^9^9`` fails at once instead of building a number of about
 3.7*10^8 digits.  The bases 0, 1 and -1 are exempt.  The parser recurses
 once per parenthesis, unary sign and ``^``; input nested past the
 interpreter's recursion limit is refused with ExpressionError too.
+Messages quote a long expression by its first characters and its length.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ class ExpressionError(ValueError):
     pass
 
 
+def _quote(text: str) -> str:
+    """repr(text) up to 80 characters; a longer text by its first 40 and its length."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([()+\-*/^]))")
 
 
@@ -37,7 +45,7 @@ def _tokenize(text: str) -> list[str]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ExpressionError(f"unexpected character {text[pos:].lstrip()[:1]!r} in {text!r}")
+            raise ExpressionError(f"unexpected character {text[pos:].lstrip()[:1]!r} in {_quote(text)}")
         tokens.append(m.group(1) or m.group(2))
         pos = m.end()
     return tokens
@@ -59,12 +67,12 @@ class _Parser:
 
     def expect(self, tok: str):
         if self.take() != tok:
-            raise ExpressionError(f"expected {tok!r} in {self.source!r}")
+            raise ExpressionError(f"expected {tok!r} in {_quote(self.source)}")
 
     def parse(self):
         value = self.expr()
         if self.peek() is not None:
-            raise ExpressionError(f"trailing input {self.peek()!r} in {self.source!r}")
+            raise ExpressionError(f"trailing input {_quote(self.peek())} in {_quote(self.source)}")
         return value
 
     def expr(self):
@@ -84,7 +92,7 @@ class _Parser:
             else:
                 divisor = self.factor()
                 if divisor == 0:
-                    raise ExpressionError(f"division by zero in {self.source!r}")
+                    raise ExpressionError(f"division by zero in {_quote(self.source)}")
                 value = value / divisor
         return value
 
@@ -101,16 +109,16 @@ class _Parser:
             self.take()
             exponent = self.factor()
             if exponent.denominator != 1:
-                raise ExpressionError(f"non-integer exponent in {self.source!r}")
+                raise ExpressionError(f"non-integer exponent in {_quote(self.source)}")
             e = exponent.numerator
             if e < 0 and base == 0:
-                raise ExpressionError(f"zero raised to a negative power in {self.source!r}")
+                raise ExpressionError(f"zero raised to a negative power in {_quote(self.source)}")
             bits = abs(e) * max(base.numerator.bit_length(), base.denominator.bit_length())
             if base not in (0, 1, -1) and bits > MAX_POWER_BITS:
                 # the estimate itself may have thousands of digits: print its size
                 raise ExpressionError(
                     f"power of over 2^{bits.bit_length() - 1} bits exceeds the "
-                    f"{MAX_POWER_BITS}-bit cap in {self.source!r}"
+                    f"{MAX_POWER_BITS}-bit cap in {_quote(self.source)}"
                 )
             return base**e
         return base
@@ -118,7 +126,7 @@ class _Parser:
     def atom(self):
         tok = self.take()
         if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.source!r}")
+            raise ExpressionError(f"unexpected end of expression in {_quote(self.source)}")
         if tok == "(":
             value = self.expr()
             self.expect(")")
@@ -128,7 +136,7 @@ class _Parser:
                 return Fraction(int(tok))
             except ValueError as exc:  # over the interpreter's int-to-str digit limit
                 raise ExpressionError(f"integer literal of {len(tok)} digits refused: {exc}") from None
-        raise ExpressionError(f"unexpected token {tok!r} in {self.source!r}")
+        raise ExpressionError(f"unexpected token {tok!r} in {_quote(self.source)}")
 
 
 def evaluate_rational(text: str):
@@ -146,5 +154,7 @@ def evaluate_int(text: str) -> int:
     """Evaluate an expression that must come out to an integer."""
     value = evaluate_rational(text)
     if value.denominator != 1:
-        raise ExpressionError(f"{text!r} evaluates to the non-integer {value}")
+        size = max(abs(value.numerator), value.denominator).bit_length()
+        shown = f"the non-integer {value}" if size <= 128 else f"a non-integer of {size} bits"
+        raise ExpressionError(f"{_quote(text)} evaluates to {shown}")
     return value.numerator

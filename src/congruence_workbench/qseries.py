@@ -8,7 +8,7 @@ ever pads precision with fabricated zeros.
 
 The two entry points that matter most are :func:`euler_product`, the
 sparse pentagonal-number expansion of (q^M; q^M)_inf, and
-:func:`series_pow_rational`, which raises a series of ints with constant
+:func:`series_pow_numerators`, which raises a series of ints with constant
 term 1 to an arbitrary rational exponent alpha = a/b via the
 logarithmic-derivative recurrence (J.C.P. Miller's formula for powers of
 power series)
@@ -20,11 +20,14 @@ for integer f, D(n)*g(n) is an integer with
 D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
-Fractions are built once per coefficient at the end, so rationals
-appear only in the output.  Input coefficients must be ``int``; any
-other raises TypeError.  This is the only power algorithm:
-:func:`series_pow_int` runs the same pass with b = 1, where the common
-denominator is 1, so the result is ints.
+:func:`series_pow_numerators` returns that output as it is, the int
+numerators and D.  Checks read those: :func:`series_reduce_mod` reduces
+N(n) * D^-1 mod ell^k on ints, so congruence checks build no
+``Fraction``.  :func:`series_pow_rational` builds one reduced Fraction
+per coefficient, for values that are printed.  Input coefficients must
+be ``int``; any other raises TypeError.  This is the only power
+algorithm: :func:`series_pow_int` runs the same pass with b = 1, where
+the common denominator is 1, so the result is ints.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .arith import (
     as_rational,
     format_quad,
     format_rational,
+    padic_ord,
     parse_quad,
     parse_rational,
     reduce_mod_prime_power,
@@ -54,6 +58,7 @@ __all__ = [
     "geometric_series",
     "parse_series_text",
     "series_pow_int",
+    "series_pow_numerators",
     "series_pow_rational",
     "series_reduce_mod",
     "series_shift",
@@ -197,11 +202,26 @@ def _multiplier(n: int, b: int) -> int:
     return m
 
 
-def _power_numerators(f: Series, a: int, b: int) -> tuple[list[int], int]:
-    """The recurrence for g = f**(a/b): (N, D(P)) with g(n) = N(n) / D(P).
+def series_pow_numerators(f: Series, alpha) -> tuple[Series, int]:
+    """The power kernel's output as it is: (N, D) with f**alpha = N / D.
 
-    Only ``int`` coefficients are accepted; any other raises TypeError.
+    N is a Series of ``int`` numerators and D the common denominator, so
+    coefficient n of f**alpha is N(n) / D, not reduced.  Requires
+    f(0) = 1 and ``int`` coefficients; any other coefficient raises
+    TypeError.
+
+    Fraction-free: with alpha = a/b and integer coefficients f(k),
+    D(n)*g(n) is an integer for D(n) = b^n * prod_{p | b} p^ord_p(n!), and
+    D(n) divides D = D(P) for P = prec - 1.  So the recurrence runs on the
+    integers N(n) = D*g(n):
+
+        b*n*N(n) = sum_{k=1..n} (a*k - b*(n-k)) * f(k) * N(n-k),
+
+    each step ending in one exact division by b*n (a nonzero remainder
+    raises ArithmeticError).
     """
+    alpha = as_rational(alpha)
+    a, b = alpha.numerator, alpha.denominator
     if f.prec < 1 or f.coeff(0) != 1:
         raise PreconditionError("series powers require constant term 1")
     prec = f.prec
@@ -225,32 +245,22 @@ def _power_numerators(f: Series, a: int, b: int) -> tuple[list[int], int]:
         num[n], rest = divmod(acc, b * n)
         if rest:
             raise ArithmeticError(f"inexact division by {b * n} in the power recurrence")
-    return num, denominator
+    return Series(num, prec), denominator
 
 
 def series_pow_rational(f: Series, alpha) -> Series:
-    """f**alpha for rational alpha = a/b; requires f(0) = 1 and int coefficients.
+    """f**alpha for rational alpha; requires f(0) = 1 and int coefficients.
 
     Exact output: the unique solution g of f*g' = alpha*f'*g with
-    g(0) = 1, as reduced ``Fraction`` values.  A coefficient that is not
-    an ``int`` raises TypeError.
-
-    Fraction-free: with integer coefficients f(k), D(n)*g(n) is an integer
-    for D(n) = b^n * prod_{p | b} p^ord_p(n!), and D(n) divides D(P) for
-    P = prec - 1.  So the recurrence runs on the integers N(n) = D(P)*g(n):
-
-        b*n*N(n) = sum_{k=1..n} (a*k - b*(n-k)) * f(k) * N(n-k),
-
-    each step ending in one exact division by b*n (a nonzero remainder
-    raises ArithmeticError), and g(n) = N(n) / D(P) is formed once per
-    coefficient at the end.
+    g(0) = 1, as reduced ``Fraction`` values N(n) / D built from
+    :func:`series_pow_numerators`.
     """
-    alpha = as_rational(alpha)
-    num, denominator = _power_numerators(f, alpha.numerator, alpha.denominator)
-    # convert in place, so the integers and the output are never both whole
-    for n in range(f.prec):
-        num[n] = Fraction(num[n], denominator)
-    return Series(num, f.prec)
+    numerators, denominator = series_pow_numerators(f, alpha)
+    out = list(numerators.coeffs)
+    del numerators  # convert in place, so the integers and the output are never both whole
+    for n, c in enumerate(out):
+        out[n] = Fraction(c, denominator)
+    return Series(out, f.prec)
 
 
 def series_pow_int(f: Series, e: int) -> Series:
@@ -260,7 +270,7 @@ def series_pow_int(f: Series, e: int) -> Series:
     ``int`` numerators themselves.  A coefficient that is not an ``int``
     raises TypeError.
     """
-    return Series(_power_numerators(f, index(e), 1)[0], f.prec)
+    return series_pow_numerators(f, index(e))[0]
 
 
 def frac_partition_series(alpha, prec: int) -> Series:
@@ -301,23 +311,36 @@ def series_shift(f: Series, t: int) -> Series:
     return Series((0,) * t + f.coeffs, f.prec + t)
 
 
-def series_reduce_mod(f: Series, ell: int, k: int) -> Series:
-    """Coefficientwise canonical residues in [0, ell^k).
+def _not_integral(n: int, ell: int) -> NotLIntegralError:
+    return NotLIntegralError(f"coefficient at exponent {n} is not {ell}-integral", index=n)
 
-    Raises NotLIntegralError naming the first offending exponent when a
+
+def series_reduce_mod(f: Series, ell: int, k: int, denominator: int = 1) -> Series:
+    """Coefficientwise canonical residues of f(n) / denominator in [0, ell^k).
+
+    ``f`` holds rationals, or the ``int`` numerators that
+    :func:`series_pow_numerators` returns with their common denominator;
+    those are reduced as ints, and no Fraction is built.  With a
+    denominator other than 1 the coefficients must be ints.  Raises
+    NotLIntegralError naming the first offending exponent when a
     coefficient is not ell-integral.
     """
-    out = []
     mod = ell**k
+    # denominator = ell^t * u: ell^t must divide each numerator, and u is inverted once
+    scale = ell ** padic_ord(denominator, ell)
+    inverse = pow(denominator // scale, -1, mod)
+    out = []
     for n, c in enumerate(f.coeffs):
         if isinstance(c, QuadRational):
             raise TypeError("series_reduce_mod is defined for rational coefficients")
+        if scale > 1:
+            c, rest = divmod(c, scale)
+            if rest:
+                raise _not_integral(n, ell)
         try:
-            out.append(reduce_mod_prime_power(c, ell, k, mod))
+            out.append(reduce_mod_prime_power(c, ell, k, mod) * inverse % mod)
         except NotLIntegralError as exc:
-            raise NotLIntegralError(
-                f"coefficient at exponent {n} is not {ell}-integral", index=n
-            ) from exc
+            raise _not_integral(n, ell) from exc
     return Series(out, f.prec)
 
 

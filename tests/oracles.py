@@ -9,9 +9,15 @@ recomputed from scratch.
 from fractions import Fraction
 from functools import lru_cache
 
-from congruence_workbench.arith import PreconditionError, as_rational
+from congruence_workbench.arith import PreconditionError, as_rational, padic_ord
+from congruence_workbench.congruence import (
+    Counterexample,
+    SharpnessWitness,
+    VerificationReport,
+    VerificationStatus,
+)
 from congruence_workbench.forms import a2_prime_power_iter
-from congruence_workbench.qseries import Series
+from congruence_workbench.qseries import Series, extract_progression, frac_partition_series
 
 
 def partition_counts(n_max: int) -> list[int]:
@@ -170,3 +176,42 @@ def expected_denominator(b: int, n: int) -> int:
     for p in prime_factors(b):
         result *= p ** factorial_ord(n, p)
     return result
+
+
+# -- claim checks over Fractions -------------------------------------------
+
+
+def progression_fractions(claim, n_max: int) -> Series:
+    """p_alpha(ell^e * n + r) for n <= n_max, each a reduced Fraction of the whole series."""
+    prec = claim.progression_modulus * n_max + claim.r + 1
+    series = frac_partition_series(claim.alpha, prec)
+    return extract_progression(series, claim.progression_modulus, claim.r).truncate(n_max + 1)
+
+
+def verify_claim_by_fractions(claim, n_max: int, values: Series | None = None) -> VerificationReport:
+    """verify_claim as it ran before it read integer numerators: every value a Fraction.
+
+    Residues are num * den^-1 mod ell^m, computed here from the Fraction.
+    """
+    if values is None:
+        values = progression_fractions(claim, n_max)
+    ell, mod = claim.ell, claim.ell**claim.modulus_power
+    for n, value in enumerate(values.coeffs):
+        if value.denominator % ell == 0:
+            note = f"coefficient at exponent {n} is not {ell}-integral"
+            return VerificationReport(claim, n_max, VerificationStatus.PRECONDITION_FAILED, note=note)
+    for n, value in enumerate(values.coeffs):
+        if value.numerator * pow(value.denominator, -1, mod) % mod != 0:
+            ce = Counterexample(n=n, value=value, ord=padic_ord(value, ell))
+            return VerificationReport(claim, n_max, VerificationStatus.COUNTEREXAMPLE, ce)
+    return VerificationReport(claim, n_max, VerificationStatus.VERIFIED_IN_RANGE)
+
+
+def sharpness_probe_by_fractions(claim, n_max: int, values: Series | None = None):
+    """sharpness_probe over Fractions: the first value of ord exactly modulus_power."""
+    if values is None:
+        values = progression_fractions(claim, n_max)
+    for n, value in enumerate(values.coeffs):
+        if value != 0 and padic_ord(value, claim.ell) == claim.modulus_power:
+            return SharpnessWitness(n=n, value=value)
+    return None

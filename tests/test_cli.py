@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from congruence_workbench import qseries
 from congruence_workbench.cli import main
 
 from oracles import binomial_series_power, naive_euler_product
@@ -54,6 +55,35 @@ class TestCoeffs:
         code, _, err = run_cli(capsys, "coeffs", "--alpha", "1/5", "--n", "3", "--mod", "5^1")
         assert code == 2
         assert "integral" in err
+
+    def test_mod_before_first_non_integral_index(self, capsys):
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", "1/5", "--n", "0", "--mod", "5")
+        assert code == 0 and out == "0\t1\n"
+
+    def test_mod_refusal_matches_fraction_path(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "2/25", "--n", "6", "--mod", "5^2")
+        assert code == 2 and out == ""
+        assert err == "error: coefficient at exponent 1 is not 5-integral\n"
+
+    @pytest.mark.parametrize("alpha, mod", [("-1/8", "7^3"), ("1/13", "5^2"), ("97/8", "3"), ("-7/30", "11^2")])
+    def test_mod_matches_fraction_residues(self, capsys, alpha, mod):
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", alpha, "--n", "120", "--mod", mod)
+        assert code == 0
+        ell, _, k = mod.partition("^")
+        m = int(ell) ** int(k or 1)
+        want = [
+            f"{n}\t{c.numerator * pow(c.denominator, -1, m) % m}"
+            for n, c in enumerate(binomial_series_power(naive_euler_product(1, 121), Fraction(alpha), 121))
+        ]
+        assert out.splitlines() == want
+
+    def test_mod_builds_no_coefficient_fraction(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a coefficient Fraction was built")
+
+        monkeypatch.setattr(qseries, "Fraction", refuse)
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", "-1/8", "--n", "300", "--mod", "7^3")
+        assert code == 0 and len(out.splitlines()) == 301
 
     def test_jsonl_mode(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--output", "jsonl", "--alpha", "-1", "--n", "2")
@@ -246,6 +276,22 @@ class TestOutFile:
         assert opened.count(str(target)) == 1
         assert len(target.read_text().splitlines()) == 51
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4"),
+            ("coeffs", "--alpha", "-1/8", "--n", "5"),
+            ("find-w", "--ell", "13", "--v", "1"),
+        ],
+        ids=["verify", "coeffs", "find-w"],
+    )
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, where):
+        target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write the --out file") and len(err.splitlines()) == 1
+
     def test_refused_command_creates_no_file(self, capsys, tmp_path):
         target = tmp_path / "none.txt"
         code, _, _ = run_cli(capsys, "coeffs", "--alpha", "1/0", "--n", "3", "--out", str(target))
@@ -343,6 +389,18 @@ class TestResidues:
         assert code == 2 and out == ""
         assert "cap" in err
 
+    def test_count_above_max_prec_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "residues", "--d", "2", "--ell", "13", "--ord", "12", "--count", "100000000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--max-prec" in err
+        code, out, _ = run_cli(capsys, "residues", "--d", "6", "--ell", "7", "--ord", "1", "--count", "3", "--max-prec", "3")
+        assert code == 0 and len(out.splitlines()) == 3
+        assert run_cli(capsys, "residues", "--d", "6", "--ell", "7", "--ord", "1", "--count", "4", "--max-prec", "3")[0] == 2
+
     def test_t3_residue(self, capsys):
         code, out, _ = run_cli(capsys, "residues", "--d", "2", "--ell", "13", "--ord", "12", "--count", "1")
         assert code == 0
@@ -406,3 +464,26 @@ def test_deeply_nested_expression_exits_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "nested too deeply" in err
+
+
+_LONG_BAD_FLAGS = {
+    "alpha": ("coeffs", "--alpha", "1+" * 49_999 + "1x", "--n", "3"),
+    "alpha-power": ("coeffs", "--alpha", "0+" * 49_998 + "9^9^9", "--n", "3"),
+    "r": ("verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "1+" * 49_999 + "1/2"),
+}
+
+
+@pytest.mark.parametrize("argv", _LONG_BAD_FLAGS.values(), ids=_LONG_BAD_FLAGS.keys())
+def test_long_bad_expression_message_is_short(capsys, argv):
+    assert max(len(a) for a in argv) >= 100_000
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 300
+    assert "characters)" in err
+
+
+def test_short_bad_expression_message_quotes_it_whole(capsys):
+    code, _, err = run_cli(capsys, "coeffs", "--alpha", "1/(2-2)", "--n", "3")
+    assert code == 2
+    assert err == "error: bad rational --alpha: division by zero in '1/(2-2)'\n"

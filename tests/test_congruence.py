@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from math import gcd
@@ -27,7 +28,14 @@ from congruence_workbench.congruence import (
 )
 from congruence_workbench.forms import a2_prime_power_sequence
 
-from oracles import find_w_by_search
+from congruence_workbench import qseries
+
+from oracles import (
+    find_w_by_search,
+    progression_fractions,
+    sharpness_probe_by_fractions,
+    verify_claim_by_fractions,
+)
 
 
 class TestSatisfactoryPredicate:
@@ -380,3 +388,94 @@ def test_infinity_never_in_counterexample_ord():
     record = certificate_record(report)
     assert "counterexample" not in record
     assert INFINITY > 0
+
+
+def _forced(claim, **changes):
+    """The claim with some fields changed, built past every validation."""
+    forced = object.__new__(CongruenceClaim)
+    for field in dataclasses.fields(CongruenceClaim):
+        object.__setattr__(forced, field.name, changes.get(field.name, getattr(claim, field.name)))
+    return forced
+
+
+# Every claim of the claim-deep and cli-short benchmark pools, at each range
+# those workloads check it to.
+_POOL_CLAIMS = {}
+for _alpha in ("-1/8", "97/8", "-99/8"):
+    for _n_max in (2, 20):
+        _POOL_CLAIMS[f"t1-{_alpha}-n{_n_max}"] = (lambda a=_alpha: build_t1_claim(Fraction(a), 6, 7, 5), _n_max)
+for _alpha in ("1/13", "51/13", "-49/13"):
+    for _n_max in (4, 40):
+        _POOL_CLAIMS[f"t2-{_alpha}-n{_n_max}"] = (lambda a=_alpha: build_t2_claim(Fraction(a), 5, 7), _n_max)
+for _alpha in ("29/2", "-21/2"):
+    _POOL_CLAIMS[f"t3-{_alpha}"] = (lambda a=_alpha: build_t3_claim(Fraction(a), 5, 1, 7), 40)
+for _alpha in ("67/3", "92/3"):
+    _POOL_CLAIMS[f"remark-{_alpha}"] = (lambda a=_alpha: build_remark_claim(Fraction(a), 14, 5, 4), 40)
+_POOL_CLAIMS["cw-ramanujan"] = (lambda: build_cw_claim(-1, 4, 5, 4), 200)
+for _d, _ell, _r, _alphas in (
+    (1, 5, 3, (-4, 6)), (3, 5, 2, (-2, 3)), (4, 5, 4, (-11, 14)), (6, 7, 5, (-8, 13)),
+    (8, 5, 3, (-2, 3)), (10, 7, 6, (-11, 10)), (14, 5, 4, (-11, 14)), (26, 11, 9, (-7, 4)),
+):
+    for _alpha in _alphas:
+        _POOL_CLAIMS[f"cw-d{_d}-{_alpha}"] = (
+            lambda a=_alpha, d=_d, ell=_ell, r=_r: build_cw_claim(a, d, ell, r), 50
+        )
+
+
+class TestChecksAgainstFractionOracle:
+    """verify_claim and sharpness_probe read int numerators; the oracle reads Fractions."""
+
+    def _assert_same(self, claim, n_max, values):
+        report = verify_claim(claim, n_max)
+        expected = verify_claim_by_fractions(claim, n_max, values)
+        assert report == expected
+        assert certificate_line(report) == certificate_line(expected)
+        if report.counterexample is not None:
+            assert type(report.counterexample.value) is Fraction
+        assert sharpness_probe(claim, n_max) == sharpness_probe_by_fractions(claim, n_max, values)
+        return report
+
+    @pytest.mark.parametrize("case", sorted(_POOL_CLAIMS))
+    def test_pool_claim(self, case):
+        build, n_max = _POOL_CLAIMS[case]
+        claim = build()
+        values = progression_fractions(claim, n_max)
+        report = self._assert_same(claim, n_max, values)
+        assert report.status is VerificationStatus.VERIFIED_IN_RANGE
+        # one power more than the claim states: a witness in range refutes it
+        raised = _forced(claim, modulus_power=claim.modulus_power + 1)
+        raised_report = self._assert_same(raised, n_max, values)
+        if sharpness_probe_by_fractions(claim, n_max, values) is not None:
+            assert raised_report.status is VerificationStatus.COUNTEREXAMPLE
+
+    @pytest.mark.parametrize(
+        "alpha, ell, e, r",
+        [(Fraction(1, 5), 5, 1, 3), (Fraction(1, 5), 5, 1, 0), (Fraction(2, 7), 7, 1, 0), (Fraction(-3, 5), 5, 2, 4)],
+    )
+    def test_not_l_integral_note_names_same_exponent(self, alpha, ell, e, r):
+        base = build_cw_claim(-1, 4, 5, 4)
+        claim = _forced(base, alpha=alpha, ell=ell, e=e, r=r)
+        values = progression_fractions(claim, 6)
+        report = self._assert_same(claim, 6, values)
+        assert report.status is VerificationStatus.PRECONDITION_FAILED
+        assert "is not" in report.note and "integral" in report.note
+
+    def test_sharpness_reads_ord_relative_to_the_denominator(self):
+        # ell | b: the common denominator carries ell^t, so ord_ell(N(n)) runs
+        # far above ord_ell(p_alpha(n)); every modulus_power up to past t
+        # must still give the oracle's answer
+        base = build_cw_claim(-1, 4, 5, 4)
+        claim = _forced(base, alpha=Fraction(1, 5), r=0)
+        values = progression_fractions(claim, 6)
+        for power in range(1, 60):
+            forced = _forced(claim, modulus_power=power)
+            assert sharpness_probe(forced, 6) == sharpness_probe_by_fractions(forced, 6, values)
+
+    def test_verified_claim_builds_no_coefficient_fraction(self, monkeypatch):
+        # qseries.series_pow_rational is where a coefficient becomes a Fraction
+        def refuse(*args):
+            raise AssertionError("a coefficient Fraction was built")
+
+        monkeypatch.setattr(qseries, "Fraction", refuse)
+        claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
+        assert verify_claim(claim, 20).status is VerificationStatus.VERIFIED_IN_RANGE

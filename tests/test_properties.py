@@ -2,18 +2,21 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congruence_workbench.arith import QuadRational, primes_below
+from congruence_workbench.arith import NotLIntegralError, QuadRational, primes_below, reduce_mod_prime_power
 from congruence_workbench.congruence import find_w
 from congruence_workbench.intexpr import ExpressionError, evaluate_rational
 from congruence_workbench.qseries import (
     Series,
+    euler_product,
     format_series_text,
     parse_series_text,
     series_pow_int,
+    series_pow_numerators,
     series_pow_rational,
+    series_reduce_mod,
 )
 
 from oracles import find_w_by_search
@@ -127,3 +130,38 @@ def test_pow_rational_exponents_add(f, a, b):
 def test_pow_rational_exponents_multiply(f, a, b):
     # f^a stays an int series for integer a, so it can be raised again
     assert series_pow_rational(series_pow_int(f, a), b) == series_pow_rational(f, a * b)
+
+
+# -- residues of the kernel's int numerators against the Fractions ---------
+
+_primes = st.sampled_from([2, 3, 5, 7, 11, 13])
+_alphas = st.fractions(min_value=-60, max_value=60, max_denominator=60)
+
+
+@settings(deadline=None)
+@given(_primes, _alphas, st.integers(1, 4), st.integers(1, 60))
+def test_numerator_residues_match_fraction_residues(ell, alpha, k, prec):
+    assume(alpha.denominator % ell != 0)
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
+    fractions = series_pow_rational(euler_product(1, prec), alpha)
+    want = [reduce_mod_prime_power(c, ell, k) for c in fractions.coeffs]
+    assert list(series_reduce_mod(numerators, ell, k, denominator).coeffs) == want
+
+
+def _first_non_integral(reduce):
+    try:
+        reduce()
+    except NotLIntegralError as exc:
+        return exc.index
+    return None
+
+
+@settings(deadline=None)
+@given(_primes, _alphas, st.integers(1, 3), st.integers(1, 40))
+def test_numerator_refusal_names_the_fraction_path_index(ell, alpha, k, prec):
+    # with ell | b the refusal must name the exponent the Fraction path names
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
+    fractions = series_pow_rational(euler_product(1, prec), alpha)
+    assert _first_non_integral(
+        lambda: series_reduce_mod(numerators, ell, k, denominator)
+    ) == _first_non_integral(lambda: series_reduce_mod(fractions, ell, k))

@@ -13,6 +13,7 @@ from congruence_workbench.qseries import (
     geometric_series,
     parse_series_text,
     series_pow_int,
+    series_pow_numerators,
     series_pow_rational,
     series_reduce_mod,
     series_shift,
@@ -188,6 +189,14 @@ class TestFractionFreeKernel:
             want = pow_rational_by_fractions(f, alpha).coeffs
             assert got == want, (name, alpha, prec)
             assert all(type(c) is Fraction for c in got), (name, alpha, prec)
+
+    @pytest.mark.parametrize("alpha", _DIFFERENTIAL_ALPHAS, ids=str)
+    def test_numerators_over_common_denominator(self, alpha):
+        f = euler_product(1, 60)
+        numerators, denominator = series_pow_numerators(f, alpha)
+        assert all(type(c) is int for c in numerators.coeffs) and numerators.prec == 60
+        assert denominator == expected_denominator(Fraction(alpha).denominator, 59)
+        assert [Fraction(c, denominator) for c in numerators.coeffs] == list(series_pow_rational(f, alpha).coeffs)
 
     def test_inexact_division_raises(self, monkeypatch):
         # a common denominator without the p^ord_p(n!) factors is too small
