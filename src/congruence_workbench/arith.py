@@ -2,9 +2,10 @@
 
 Rationals are ``fractions.Fraction`` (a plain int embeds into them).
 This module adds their text format, the quadratic extension
-Q(sqrt(-3)), l-adic valuations with a proper infinity, and
+Q(sqrt(-3)), l-adic valuations with a proper infinity,
 quadratic-residue symbols (Legendre / Jacobi / Kronecker) together with
-the eta-power character table.
+the eta-power character table, and a Miller-Rabin primality test that
+is exact below PRIME_TEST_BOUND.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ __all__ = [
     "INFINITY",
     "MAX_POWER_BITS",
     "NotLIntegralError",
+    "PRIME_TEST_BOUND",
     "PreconditionError",
     "QuadRational",
-    "SQRT_MINUS_3",
     "as_rational",
     "check_power_cap",
     "chi_eta",
@@ -125,15 +126,19 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-# Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24
-# (Sorenson-Webster).  Inputs here are far below that bound; larger inputs
-# would make the test probabilistic, which the primality contract allows.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: psi_13, the least strong pseudoprime to the 13 witnesses 2..41: below
+#: it the Miller-Rabin test of :func:`is_prime` is exact (J. Sorenson and
+#: J. Webster, Math. Comp. 86 (2017)).  The 12 witnesses 2..37 alone are
+#: exact only below psi_12 = 318665857834031151167461, itself a strong
+#: pseudoprime to all of them.  The CLI refuses integers from here up.
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality check (deterministic below 3.3e24)."""
+    """Miller-Rabin primality check, exact below PRIME_TEST_BOUND (about 3.3e24)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -261,10 +266,9 @@ def chi_eta(d: int, m: int) -> int:
     return kronecker_symbol(eta_character_numerator(d), m)
 
 
-def reduce_mod_prime_power(x, ell: int, k: int, mod: int | None = None) -> int:
+def reduce_mod_prime_power(x, ell: int, k: int) -> int:
     """Canonical residue of a rational in [0, ell^k).
 
-    A caller reducing many values passes ``mod = ell**k``, computed once.
     Raises NotLIntegralError when ell divides the denominator (the value
     has no residue mod ell^k).
     """
@@ -276,8 +280,7 @@ def reduce_mod_prime_power(x, ell: int, k: int, mod: int | None = None) -> int:
         raise NotLIntegralError(
             f"{format_rational(x)} is not {ell}-integral: {ell} divides the denominator"
         )
-    if mod is None:
-        mod = ell**k
+    mod = ell**k
     return num * pow(den, -1, mod) % mod
 
 
@@ -295,10 +298,6 @@ class QuadRational:
     def __post_init__(self):
         object.__setattr__(self, "re", as_rational(self.re))
         object.__setattr__(self, "im", as_rational(self.im))
-
-    @classmethod
-    def from_rational(cls, value) -> "QuadRational":
-        return cls(value, 0)
 
     def _coerce(self, other):
         if isinstance(other, QuadRational):
@@ -377,20 +376,11 @@ class QuadRational:
     def norm(self):
         return self.re * self.re + 3 * self.im * self.im
 
-    def conjugate(self) -> "QuadRational":
-        return QuadRational(self.re, -self.im)
-
-    def is_rational_embedding(self) -> bool:
-        return self.im == 0
-
     def __repr__(self):
         return f"QuadRational({self.re}, {self.im})"
 
     def __str__(self):
         return format_quad(self)
-
-
-SQRT_MINUS_3 = QuadRational(0, 1)
 
 
 def format_quad(x: QuadRational) -> str:

@@ -7,10 +7,12 @@ codes: 0 success/verified, 1 counterexample or inconclusive probe,
 
 Integer flags accept either decimal literals or exact arithmetic
 expressions such as ``(13^12-1)/12``; rational flags accept ``a/b``
-or the same expression syntax.  ``--max-prec`` caps the series
-precision of coeffs, eta, verify and sharpness, and the number of
-residues printed.  A ``--out`` file that cannot be written is a usage
-failure (exit 2).
+or the same expression syntax.  Integer flags but ``--r``, and L and K
+of ``--mod L^K``, must be below ``arith.PRIME_TEST_BOUND`` in absolute
+value, so every primality answer is exact.  ``--max-prec`` caps the
+series precision of coeffs, eta, verify and sharpness, and the number
+of residues printed; their printed size is capped too.  A ``--out``
+file that cannot be written is a usage failure (exit 2).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 import sys
 
 from . import __version__
-from .arith import PreconditionError, check_power_cap, format_rational
+from .arith import MAX_POWER_BITS, PRIME_TEST_BOUND, PreconditionError, check_power_cap, format_rational
 from .congruence import (
     VerificationStatus,
     build_cw_claim,
@@ -69,6 +71,17 @@ def _parse_int_flag(name: str, text: str) -> int:
         raise UsageError(f"bad integer {name}: {exc}")
 
 
+def _int_flag(text: str) -> int:
+    """argparse type of the integer flags; ArgumentTypeError keeps argparse from echoing the value."""
+    try:
+        value = evaluate_int(text)
+    except ExpressionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if abs(value) >= PRIME_TEST_BOUND:
+        raise argparse.ArgumentTypeError(f"must be below {PRIME_TEST_BOUND} in absolute value")
+    return value
+
+
 def _parse_mod(text: str) -> tuple[int, int]:
     base, sep, exp = text.partition("^")
     try:
@@ -78,8 +91,26 @@ def _parse_mod(text: str) -> tuple[int, int]:
         raise UsageError(f"--mod expects L or L^K, got {text!r}")
     if k < 1:
         raise UsageError("--mod exponent must be >= 1")
+    if max(abs(ell), k) >= PRIME_TEST_BOUND:
+        raise UsageError(f"--mod L^K needs L and K below {PRIME_TEST_BOUND}")
     check_power_cap(ell, k, "--mod")
     return ell, k
+
+
+def _check_printed_size(count: int, ell: int, k: int):
+    """Refuse printing count residues mod ell^k when count * bits(ell^k)^2 exceeds MAX_POWER_BITS^2.
+
+    Decimal conversion is quadratic in a number's size, so the budget is
+    one number of MAX_POWER_BITS bits, the largest the power cap admits.
+    bits(ell^k) is estimated as k * bits(ell), as the power cap does;
+    k < 1 is refused elsewhere.
+    """
+    bits = k * ell.bit_length()
+    if bits > 0 and count * bits * bits > MAX_POWER_BITS**2:
+        raise UsageError(
+            f"printing {count} residues mod {ell}^{k} costs about {count} * {bits}^2 = "
+            f"{count * bits * bits} bit^2, above the cap {MAX_POWER_BITS}^2"
+        )
 
 
 class _Output:
@@ -160,6 +191,7 @@ def cmd_coeffs(args) -> int:
         return EXIT_OK
     # residues N(n) * D^-1 mod L^K straight from the kernel's int numerators
     ell, k = _parse_mod(args.mod)
+    _check_printed_size(prec, ell, k)
     numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
     _emit_values(args, enumerate(series_reduce_mod(numerators, ell, k, denominator).coeffs), str)
     return EXIT_OK
@@ -217,6 +249,7 @@ def cmd_sharpness(args) -> int:
 def cmd_residues(args) -> int:
     if args.count > args.max_prec:
         raise UsageError(f"--count {args.count} is above the cap {args.max_prec} (--max-prec)")
+    _check_printed_size(args.count, args.ell, args.ord)
     for r in find_residues(args.d, args.ell, args.ord, args.count):
         args.emit(str(r))
     return EXIT_OK
@@ -264,7 +297,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE", help="append output lines to FILE instead of stdout")
     common.add_argument(
         "--max-prec",
-        type=int,
+        type=_int_flag,
         default=DEFAULT_MAX_PRECISION,
         help="refuse runs needing more series precision, or printing more residues, than this",
     )
@@ -285,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _new_parser(sub.add_parser, "coeffs", parents=[common], help="print p_alpha(0..N)")
     p.add_argument("--alpha", required=True, help="rational exponent, e.g. -1/8")
-    p.add_argument("--n", type=int, required=True, help="largest index printed")
+    p.add_argument("--n", type=_int_flag, required=True, help="largest index printed")
     p.add_argument("--mod", help="reduce mod L^K (L prime)")
     p.set_defaults(handler=cmd_coeffs)
 
     p = _new_parser(sub.add_parser, "eta", parents=[common], help="print nonzero eta-power coefficients a_D(0..N)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=_int_flag, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.set_defaults(handler=cmd_eta)
 
     for name, handler in (("verify", cmd_verify), ("sharpness", cmd_sharpness)):
@@ -303,23 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--family", required=True, choices=("cw", "t1", "t2", "t3", "remark"))
         p.add_argument("--alpha", required=True)
-        p.add_argument("--d", type=int)
-        p.add_argument("--ell", type=int)
-        p.add_argument("--v", type=int, help="modulus exponent for --family t3")
+        p.add_argument("--d", type=_int_flag)
+        p.add_argument("--ell", type=_int_flag)
+        p.add_argument("--v", type=_int_flag, help="modulus exponent for --family t3")
         p.add_argument("--r", required=True, help="residue (literal or expression)")
-        p.add_argument("--nmax", type=int, help=f"range bound (default {DEFAULT_N_MAX})")
+        p.add_argument("--nmax", type=_int_flag, help=f"range bound (default {DEFAULT_N_MAX})")
         p.set_defaults(handler=handler)
 
     p = _new_parser(sub.add_parser, "find-w", parents=[common], help="smallest w with a_2(ell^w) == 0 mod ell^v")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
+    p.add_argument("--ell", type=_int_flag, required=True)
+    p.add_argument("--v", type=_int_flag, required=True)
     p.set_defaults(handler=cmd_find_w)
 
     p = _new_parser(sub.add_parser, "residues", parents=[common], help="smallest residues with prescribed exact ord")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--ord", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--d", type=_int_flag, required=True)
+    p.add_argument("--ell", type=_int_flag, required=True)
+    p.add_argument("--ord", type=_int_flag, required=True)
+    p.add_argument("--count", type=_int_flag, default=1)
     p.set_defaults(handler=cmd_residues)
 
     p = _new_parser(sub.add_parser, "seed-examples", parents=[common])

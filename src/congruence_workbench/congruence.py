@@ -380,8 +380,7 @@ def _progression_values(claim: CongruenceClaim, n_max: int, max_precision: int |
             f"{prec}, above the cap {max_precision}"
         )
     numerators, denominator = series_pow_numerators(euler_product(1, prec), claim.alpha)
-    values = extract_progression(numerators, claim.progression_modulus, claim.r)
-    return values.truncate(n_max + 1), denominator
+    return extract_progression(numerators, claim.progression_modulus, claim.r), denominator
 
 
 def _exact_value(claim: CongruenceClaim, n: int):

@@ -134,9 +134,9 @@ def divisor_sigma(j: int, n: int) -> int:
 def eisenstein_series(k: int, prec: int) -> Series:
     """E_4, E_6, or E_8 = E_4^2 (weight 8, level 1, one-dimensional space)."""
     if k == 4:
-        return Series([1] + [240 * divisor_sigma(3, n) for n in range(1, prec)], prec)
+        return Series([1] + [240 * divisor_sigma(3, n) for n in range(1, prec)])
     if k == 6:
-        return Series([1] + [-504 * divisor_sigma(5, n) for n in range(1, prec)], prec)
+        return Series([1] + [-504 * divisor_sigma(5, n) for n in range(1, prec)])
     if k == 8:
         e4 = eisenstein_series(4, prec)
         return e4 * e4
@@ -153,7 +153,7 @@ def eta_power(d: int, prec: int) -> Series:
     """
     spec = EtaPowerSpec.for_power(d)
     if prec <= spec.t:
-        return Series([0] * prec, prec)
+        return Series([0] * prec)
     power = series_pow_int(euler_product(1, -(-(prec - spec.t) // spec.M)), d)
     return series_shift(substitute_power(power, spec.M).truncate(prec - spec.t), spec.t)
 
@@ -191,7 +191,7 @@ def hecke_apply(f: FormExpansion, m: int) -> Series:
                 continue
             acc = acc + chi * delta ** (k - 1) * a(m * n // (delta * delta))
         out.append(acc)
-    return Series(out, out_prec)
+    return Series(out)
 
 
 def hecke_apply_prime(f: FormExpansion, ell: int) -> Series:
@@ -208,7 +208,7 @@ def hecke_apply_prime(f: FormExpansion, ell: int) -> Series:
         if chi != 0 and n % ell == 0:
             val = val + chi * ell ** (k - 1) * a(n // ell)
         out.append(val)
-    return Series(out, out_prec)
+    return Series(out)
 
 
 def eigenform_violations(f: FormExpansion, prec: int | None = None) -> list[tuple[int, int]]:
@@ -241,11 +241,7 @@ def normalize_leading(f: Series) -> Series:
     """Divide by the first nonzero coefficient."""
     for c in f.coeffs:
         if c != 0:
-            if isinstance(c, QuadRational):
-                return f.scale(c.inverse())
-            if isinstance(c, int):
-                return f if c == 1 else f.scale(Fraction(1, c))
-            return f.scale(1 / c)
+            return f.scale(Fraction(1) / c)
     return f
 
 

@@ -1,6 +1,7 @@
 """Truncated formal power series over an exact coefficient ring.
 
-A :class:`Series` stores dense coefficients for exponents 0..prec-1.
+A :class:`Series` is a tuple of dense coefficients for exponents
+0..prec-1; prec is the tuple's length.
 Coefficients may be plain ints, ``fractions.Fraction`` values, or
 :class:`~congruence_workbench.arith.QuadRational`; all operations are
 exact.  Binary operations truncate to the shorter operand, and nothing
@@ -21,11 +22,12 @@ D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
 :func:`series_pow_numerators` returns that output as it is, the int
-numerators and D.  Checks read those: :func:`series_reduce_mod` reduces
-N(n) * D^-1 mod ell^k on ints, so congruence checks build no
-``Fraction``.  :func:`series_pow_rational` builds one reduced Fraction
-per coefficient, for values that are printed.  Input coefficients must
-be ``int``; any other raises TypeError.  This is the only power
+numerators and D.  Checks read those: :func:`series_reduce_mod` takes
+int numerators only and reduces N(n) * D^-1 mod ell^k with one
+multiplication each, so congruence checks build no ``Fraction``.
+:func:`series_pow_rational` builds one reduced Fraction per
+coefficient, for values that are printed.  Input coefficients must be
+``int``; any other raises TypeError.  This is the only power
 algorithm: :func:`series_pow_int` runs the same pass with b = 1, where
 the common denominator is 1, so the result is ints.
 """
@@ -55,7 +57,6 @@ __all__ = [
     "extract_progression",
     "format_series_text",
     "frac_partition_series",
-    "geometric_series",
     "parse_series_text",
     "series_pow_int",
     "series_pow_numerators",
@@ -67,18 +68,14 @@ __all__ = [
 
 
 class Series:
-    """Immutable truncated power series: coefficients for 0..prec-1."""
+    """Immutable truncated power series: coefficients for 0..prec-1, prec = len(coeffs)."""
 
     __slots__ = ("coeffs", "prec")
 
-    def __init__(self, coeffs, prec: int | None = None):
+    def __init__(self, coeffs):
         coeffs = tuple(coeffs)
-        if prec is None:
-            prec = len(coeffs)
-        if prec != len(coeffs):
-            raise ValueError(f"prec {prec} != number of coefficients {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "prec", len(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -97,41 +94,33 @@ class Series:
     def truncate(self, prec: int) -> "Series":
         if prec > self.prec:
             raise ValueError(f"cannot extend precision {self.prec} to {prec}")
-        return Series(self.coeffs[:prec], prec)
+        return Series(self.coeffs[:prec])
 
     def scale(self, scalar) -> "Series":
         if scalar == 1:
             return self
-        return Series([scalar * c for c in self.coeffs], self.prec)
+        return Series([scalar * c for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.prec == other.prec and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.prec, self.coeffs))
+        return hash(self.coeffs)
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.prec)
+        return Series([-c for c in self.coeffs])
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        return Series(
-            [a + b for a, b in zip(self.coeffs[:prec], other.coeffs[:prec])], prec
-        )
+        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        return Series(
-            [a - b for a, b in zip(self.coeffs[:prec], other.coeffs[:prec])], prec
-        )
+        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -150,18 +139,13 @@ class Series:
                 if n >= prec:
                     break
                 out[n] = out[n] + a * b
-        return Series(out, prec)
+        return Series(out)
 
     def __repr__(self):
         shown = ", ".join(f"{c}*q^{n}" for n, c in self.nonzero_items()[:6])
         if len(self.nonzero_items()) > 6:
             shown += ", ..."
         return f"Series({shown or '0'}; prec={self.prec})"
-
-
-def geometric_series(prec: int) -> Series:
-    """1 + q + q^2 + ... truncated at prec."""
-    return Series([1] * prec, prec)
 
 
 def euler_product(M: int, prec: int) -> Series:
@@ -188,7 +172,7 @@ def euler_product(M: int, prec: int) -> Series:
         if not placed:
             break
         k += 1
-    return Series(out, prec)
+    return Series(out)
 
 
 def _multiplier(n: int, b: int) -> int:
@@ -245,7 +229,7 @@ def series_pow_numerators(f: Series, alpha) -> tuple[Series, int]:
         num[n], rest = divmod(acc, b * n)
         if rest:
             raise ArithmeticError(f"inexact division by {b * n} in the power recurrence")
-    return Series(num, prec), denominator
+    return Series(num), denominator
 
 
 def series_pow_rational(f: Series, alpha) -> Series:
@@ -260,7 +244,7 @@ def series_pow_rational(f: Series, alpha) -> Series:
     del numerators  # convert in place, so the integers and the output are never both whole
     for n, c in enumerate(out):
         out[n] = Fraction(c, denominator)
-    return Series(out, f.prec)
+    return Series(out)
 
 
 def series_pow_int(f: Series, e: int) -> Series:
@@ -287,7 +271,7 @@ def substitute_power(f: Series, m: int) -> Series:
     out = [0] * (m * f.prec)
     for n, c in enumerate(f.coeffs):
         out[m * n] = c
-    return Series(out, m * f.prec)
+    return Series(out)
 
 
 def extract_progression(f: Series, m: int, c: int) -> Series:
@@ -296,10 +280,7 @@ def extract_progression(f: Series, m: int, c: int) -> Series:
         raise PreconditionError("extract_progression requires m >= 1")
     if not 0 <= c < m:
         raise PreconditionError(f"residue c = {c} must satisfy 0 <= c < m = {m}")
-    if f.prec <= c:
-        return Series([], 0)
-    out_prec = (f.prec - c + m - 1) // m
-    return Series([f.coeffs[m * n + c] for n in range(out_prec)], out_prec)
+    return Series(f.coeffs[c::m])
 
 
 def series_shift(f: Series, t: int) -> Series:
@@ -308,40 +289,32 @@ def series_shift(f: Series, t: int) -> Series:
         raise PreconditionError("series_shift requires t >= 0")
     if t == 0:
         return f
-    return Series((0,) * t + f.coeffs, f.prec + t)
-
-
-def _not_integral(n: int, ell: int) -> NotLIntegralError:
-    return NotLIntegralError(f"coefficient at exponent {n} is not {ell}-integral", index=n)
+    return Series((0,) * t + f.coeffs)
 
 
 def series_reduce_mod(f: Series, ell: int, k: int, denominator: int = 1) -> Series:
-    """Coefficientwise canonical residues of f(n) / denominator in [0, ell^k).
+    """Coefficientwise canonical residues of N(n) / denominator in [0, ell^k).
 
-    ``f`` holds rationals, or the ``int`` numerators that
-    :func:`series_pow_numerators` returns with their common denominator;
-    those are reduced as ints, and no Fraction is built.  With a
-    denominator other than 1 the coefficients must be ints.  Raises
-    NotLIntegralError naming the first offending exponent when a
-    coefficient is not ell-integral.
+    ``f`` holds ``int`` numerators, as :func:`series_pow_numerators`
+    returns them with their common denominator; any other coefficient
+    raises TypeError.  With denominator = ell^t * u, ell^t must divide
+    each numerator, else NotLIntegralError names the first offending
+    exponent.  u is inverted once, so each numerator costs one
+    multiplication, and no Fraction is built.
     """
     mod = ell**k
-    # denominator = ell^t * u: ell^t must divide each numerator, and u is inverted once
     scale = ell ** padic_ord(denominator, ell)
-    inverse = pow(denominator // scale, -1, mod)
+    # reduce_mod_prime_power also refuses k < 1
+    inverse = pow(reduce_mod_prime_power(denominator // scale, ell, k), -1, mod)
     out = []
     for n, c in enumerate(f.coeffs):
-        if isinstance(c, QuadRational):
-            raise TypeError("series_reduce_mod is defined for rational coefficients")
-        if scale > 1:
-            c, rest = divmod(c, scale)
-            if rest:
-                raise _not_integral(n, ell)
-        try:
-            out.append(reduce_mod_prime_power(c, ell, k, mod) * inverse % mod)
-        except NotLIntegralError as exc:
-            raise _not_integral(n, ell) from exc
-    return Series(out, f.prec)
+        if not isinstance(c, int):
+            raise TypeError("series_reduce_mod is defined for int numerators")
+        c, rest = divmod(c, scale)
+        if rest:
+            raise NotLIntegralError(f"coefficient at exponent {n} is not {ell}-integral", index=n)
+        out.append(c * inverse % mod)
+    return Series(out)
 
 
 def _format_coefficient(c) -> str:
@@ -377,4 +350,4 @@ def parse_series_text(text: str) -> Series:
             out[n] = parse_quad(coeff_s)
         else:
             out[n] = parse_rational(coeff_s)
-    return Series(out, prec)
+    return Series(out)

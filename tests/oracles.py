@@ -114,7 +114,7 @@ def pow_rational_by_fractions(f: Series, alpha) -> Series:
             else:
                 acc = acc + weight * c * out[n - k]
         out[n] = Fraction(acc, b * n) if isinstance(acc, int) else acc / (b * n)
-    return Series(out, prec)
+    return Series(out)
 
 
 def find_w_by_search(ell: int, v: int) -> int:

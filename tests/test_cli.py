@@ -487,3 +487,56 @@ def test_short_bad_expression_message_quotes_it_whole(capsys):
     code, _, err = run_cli(capsys, "coeffs", "--alpha", "1/(2-2)", "--n", "3")
     assert code == 2
     assert err == "error: bad rational --alpha: division by zero in '1/(2-2)'\n"
+
+
+class TestIntegerFlags:
+    def test_expression_in_any_integer_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "find-w", "--ell", "13", "--v", "2*3")
+        assert code == 0 and out == "4826808\n"
+        code, out, _ = run_cli(capsys, "eta", "--d", "1+1", "--n", "(13^1)")
+        assert code == 0 and out == run_cli(capsys, "eta", "--d", "2", "--n", "13")[1]
+
+    def test_bad_expression_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "1/2")
+        assert code == 2 and out == ""
+        assert "argument --n:" in err and "non-integer 1/2" in err
+
+    def test_psi_12_is_not_prime(self, capsys):
+        # a strong pseudoprime to 2..37: below the flag bound, so is_prime must answer exactly
+        code, out, err = run_cli(capsys, "find-w", "--ell", "318665857834031151167461", "--v", "1")
+        assert code == 2 and out == ""
+        assert err == "error: 318665857834031151167461 is not prime\n"
+
+
+_REFUSED_FAST = {
+    "psi-13": ("find-w", "--ell", "3317044064679887385961981", "--v", "1"),
+    "mersenne-4423": ("find-w", "--ell", "2^4423-1", "--v", "1"),
+    "negative": ("coeffs", "--alpha", "-1", "--n", "-10^100000"),
+    "long-ell": ("find-w", "--ell", "1" + "0" * 100_000, "--v", "1"),
+    "long-d": ("verify", "--family", "cw", "--alpha", "-1", "--d", "1" + "0" * 100_000, "--ell", "5", "--r", "4"),
+    "max-prec": ("eta", "--d", "2", "--n", "3", "--max-prec", "10^30"),
+    "mod-prime": ("coeffs", "--alpha", "-1", "--n", "3", "--mod", "3317044064679887385961981"),
+    "mod-exponent": ("coeffs", "--alpha", "-1", "--n", "3", "--mod", "5^" + "1" * 100_000),
+    "residues-size": ("residues", "--d", "2", "--ell", "13", "--ord", "200000", "--count", "5"),
+    "mod-size": ("coeffs", "--alpha", "-1/8", "--n", "10", "--mod", "7^300000"),
+}
+
+
+@pytest.mark.parametrize("argv", _REFUSED_FAST.values(), ids=_REFUSED_FAST.keys())
+def test_refused_fast_with_a_short_message(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert len(err.encode()) < 1024
+    assert "error:" in err.splitlines()[-1]
+
+
+def test_printed_size_bound():
+    from congruence_workbench.cli import UsageError, _check_printed_size
+
+    # bits(2^K) is estimated as 2K: four residues of 2^19 bits cost exactly one of 2^20 bits
+    _check_printed_size(4, 2, 2**18)
+    with pytest.raises(UsageError, match="cap"):
+        _check_printed_size(5, 2, 2**18)
+    _check_printed_size(50_000, 5, 10)  # coeffs --n 49999 --mod 5^10: many small residues

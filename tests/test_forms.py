@@ -216,7 +216,7 @@ class TestSerreComponents:
         combined = comps[0] + comps[1] - comps[2] - comps[3]
         for c in combined.coeffs:
             if isinstance(c, QuadRational):
-                assert c.is_rational_embedding()
+                assert c.im == 0
 
     def test_d10_coefficients_vanish_at_satisfactory_primes(self):
         comps = serre_components(10, 500)

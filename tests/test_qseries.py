@@ -10,7 +10,6 @@ from congruence_workbench.qseries import (
     extract_progression,
     format_series_text,
     frac_partition_series,
-    geometric_series,
     parse_series_text,
     series_pow_int,
     series_pow_numerators,
@@ -40,7 +39,7 @@ def series_from_ints(values):
 class TestRingOps:
     def test_geometric_inverse(self):
         one_minus_q = series_from_ints([1, -1] + [0] * 48)
-        product = one_minus_q * geometric_series(50)
+        product = one_minus_q * Series([1] * 50)
         assert product.coeffs[0] == 1
         assert all(c == 0 for c in product.coeffs[1:])
 
@@ -283,8 +282,8 @@ class TestSubstituteExtractShift:
 
 class TestReduceMod:
     def test_ramanujan_zeros(self):
-        f = frac_partition_series(-1, 50)
-        residues = series_reduce_mod(f, 5, 1)
+        numerators, denominator = series_pow_numerators(euler_product(1, 50), -1)
+        residues = series_reduce_mod(numerators, 5, 1, denominator)
         for n in range(50):
             if n % 5 == 4:
                 assert residues.coeff(n) == 0
@@ -293,25 +292,17 @@ class TestReduceMod:
         z = series_from_ints([0, 0, 0])
         assert series_reduce_mod(z, 7, 2) == z
 
-    def test_modulus_computed_once(self, monkeypatch):
-        moduli = []
-        real = qseries.reduce_mod_prime_power
-
-        def spy(x, ell, k, mod=None):
-            moduli.append(mod)
-            return real(x, ell, k, mod)
-
-        monkeypatch.setattr(qseries, "reduce_mod_prime_power", spy)
-        f = frac_partition_series(Fraction(-1, 8), 30)
-        residues = series_reduce_mod(f, 7, 3)
-        assert moduli == [7**3] * 30
-        assert [(c.numerator - r * c.denominator) % 343 for c, r in zip(f.coeffs, residues.coeffs)] == [0] * 30
-
     def test_not_l_integral_names_index(self):
-        f = frac_partition_series(Fraction(1, 5), 10)
+        numerators, denominator = series_pow_numerators(euler_product(1, 10), Fraction(1, 5))
         with pytest.raises(NotLIntegralError) as excinfo:
-            series_reduce_mod(f, 5, 1)
+            series_reduce_mod(numerators, 5, 1, denominator)
         assert excinfo.value.index == 1
+
+    def test_only_int_numerators(self):
+        # rationals are reduced one at a time with reduce_mod_prime_power
+        for f in (frac_partition_series(Fraction(-1, 8), 5), Series([1, QuadRational(0, 1)])):
+            with pytest.raises(TypeError):
+                series_reduce_mod(f, 7, 1)
 
 
 class TestFrobeniusCongruence:
