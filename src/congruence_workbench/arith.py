@@ -10,7 +10,6 @@ is exact below PRIME_TEST_BOUND.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -284,20 +283,24 @@ def reduce_mod_prime_power(x, ell: int, k: int) -> int:
     return num * pow(den, -1, mod) % mod
 
 
-@dataclass(frozen=True)
 class QuadRational:
-    """Element re + im*sqrt(-3) with exact rational components.
+    """Immutable element re + im*sqrt(-3) with exact rational components.
 
     The norm re^2 + 3*im^2 is multiplicative, which is what the tests
     lean on.  Division is exact: x^-1 = conj(x) / norm(x).
     """
 
-    re: object
-    im: object
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", as_rational(self.re))
-        object.__setattr__(self, "im", as_rational(self.im))
+    def __init__(self, re, im):
+        object.__setattr__(self, "re", as_rational(re))
+        object.__setattr__(self, "im", as_rational(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadRational is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QuadRational is immutable")
 
     def _coerce(self, other):
         if isinstance(other, QuadRational):

@@ -38,7 +38,7 @@ from .congruence import (
     verify_claim,
 )
 from .forms import eta_power
-from .intexpr import ExpressionError, evaluate_int, evaluate_rational
+from .intexpr import ExpressionError, _quote, evaluate_int, evaluate_rational
 from .qseries import euler_product, frac_partition_series, series_pow_numerators, series_reduce_mod
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _parse_mod(text: str) -> tuple[int, int]:
         ell = int(base)
         k = int(exp) if sep else 1
     except ValueError:
-        raise UsageError(f"--mod expects L or L^K, got {text!r}")
+        raise UsageError(f"--mod expects L or L^K, got {_quote(text)}")
     if k < 1:
         raise UsageError("--mod exponent must be >= 1")
     if max(abs(ell), k) >= PRIME_TEST_BOUND:

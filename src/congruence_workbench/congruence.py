@@ -22,9 +22,9 @@ finite range and reports VERIFIED_IN_RANGE, never "proved".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 from . import __version__ as _artifact_version
 from .arith import (
@@ -100,34 +100,53 @@ class PrecisionCapExceeded(PreconditionError):
     """The requested verification needs more series precision than allowed."""
 
 
-@dataclass(frozen=True)
 class CongruenceClaim:
-    """p_alpha(ell^e * n + r) == 0 (mod ell^modulus_power) for all n >= 0."""
+    """p_alpha(ell^e * n + r) == 0 (mod ell^modulus_power) for all n >= 0.
 
-    family: ClaimFamily
-    alpha: object
-    d: int
-    ell: int
-    e: int
-    r: int
-    modulus_power: int
+    Immutable; equal claims (same type and fields) hash alike.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
-        object.__setattr__(self, "family", ClaimFamily(self.family))
-        if not is_prime(self.ell):
-            raise PreconditionError(f"claim prime {self.ell} is not prime")
-        if self.e < 1 or self.modulus_power < 1:
+    __slots__ = ("family", "alpha", "d", "ell", "e", "r", "modulus_power")
+
+    def __init__(
+        self, family: ClaimFamily, alpha, d: int, ell: int, e: int, r: int, modulus_power: int
+    ):
+        alpha = as_rational(alpha)
+        family = ClaimFamily(family)
+        for name, value in zip(self.__slots__, (family, alpha, d, ell, e, r, modulus_power)):
+            object.__setattr__(self, name, value)
+        if not is_prime(ell):
+            raise PreconditionError(f"claim prime {ell} is not prime")
+        if e < 1 or modulus_power < 1:
             raise PreconditionError("claim requires e >= 1 and modulus_power >= 1")
-        if not 0 <= self.r < self.ell**self.e:
-            raise PreconditionError(
-                f"claim residue r = {self.r} outside [0, {self.ell}^{self.e})"
-            )
-        if self.alpha.denominator % self.ell == 0:
+        if not 0 <= r < ell**e:
+            raise PreconditionError(f"claim residue r = {r} outside [0, {ell}^{e})")
+        if alpha.denominator % ell == 0:
             raise HypothesisError(
                 "ell_coprime_to_denominator",
-                f"{self.ell} divides the denominator of alpha; values are not {self.ell}-integral",
+                f"{ell} divides the denominator of alpha; values are not {ell}-integral",
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CongruenceClaim is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CongruenceClaim is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     @property
     def progression_modulus(self) -> int:
@@ -140,21 +159,18 @@ class CongruenceClaim:
         )
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     n: int
     value: object
     ord: int
 
 
-@dataclass(frozen=True)
-class SharpnessWitness:
+class SharpnessWitness(NamedTuple):
     n: int
     value: object
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: CongruenceClaim
     n_max: int
     status: VerificationStatus

@@ -19,10 +19,9 @@ n = ell = 2 forces chi(2) = 0, while the bare symbol gives (-1/2) = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import (
     PreconditionError,
@@ -62,8 +61,7 @@ class NotNormalizedError(PreconditionError):
     """Eigenform scan called on a form whose coefficient at q is neither 0 nor 1."""
 
 
-@dataclass(frozen=True)
-class EtaPowerSpec:
+class EtaPowerSpec(NamedTuple):
     """Rescaling data for the d-th eta power: M*d = 24*t."""
 
     d: int
@@ -80,8 +78,7 @@ class EtaPowerSpec:
         return cls(d, 24 // g, d // g)
 
 
-@dataclass(frozen=True)
-class FormExpansion:
+class FormExpansion(NamedTuple):
     """A q-expansion tagged with weight, level, and character metadata.
 
     weight is d/2 for the d-th eta power (an int when whole, a rational

@@ -229,6 +229,17 @@ class TestQuadRational:
         x = QuadRational(Fraction(5, 7), Fraction(1, 2))
         assert x * QuadRational(x.re, -x.im) == x.norm()
 
+    def test_immutable(self):
+        x = QuadRational(1, 2)
+        for name in ("re", "im"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.extra = 0
+        assert x == QuadRational(1, 2) and hash(x) == hash(QuadRational(1, 2))
+
 
 class TestSerialization:
     def test_rational_format(self):

@@ -432,6 +432,33 @@ class TestDeterminism:
         assert by_fixture["t3-residue"]["r"] == (13**12 - 1) // 12
         assert by_fixture["ramanujan-mod-5"]["status"] == "VERIFIED_IN_RANGE"
 
+    def test_start_up_imports_no_code_generation(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, and builds the
+        # methods of each class by exec of generated source
+        unwanted = {"dataclasses", "inspect"}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, congruence_workbench.cli; print(*sys.modules)"],
+            capture_output=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = set(proc.stdout.decode().split())
+        assert "congruence_workbench.cli" in imported
+        assert unwanted.isdisjoint(imported)
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "congruence_workbench", "--version"],
+            capture_output=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")
+        }
+        assert "congruence_workbench.cli" in imported
+        assert unwanted.isdisjoint(imported)
+
     def test_version_names_fractions(self):
         proc = _run_subprocess(["--version"])
         assert proc.returncode == 0
@@ -481,6 +508,17 @@ def test_long_bad_expression_message_is_short(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert len(err.encode()) < 300
     assert "characters)" in err
+
+
+def test_bad_mod_message_is_short(capsys):
+    code, out, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "3", "--mod", "x" * 100_000)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
+    assert "(100000 characters)" in err
+    code, _, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "3", "--mod", "5^x")
+    assert code == 2
+    assert err == "error: --mod expects L or L^K, got '5^x'\n"
 
 
 def test_short_bad_expression_message_quotes_it_whole(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from math import gcd
@@ -163,12 +162,16 @@ class TestBuilders:
             build_remark_claim(Fraction(1, 2), 14, 11, 1)
 
     def test_claim_type_validates(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^claim prime 6 is not prime$"):
             CongruenceClaim(ClaimFamily.CW, -1, 4, 6, 1, 4, 1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^claim residue r = 5 outside \[0, 5\^1\)$"):
             CongruenceClaim(ClaimFamily.CW, -1, 4, 5, 1, 5, 1)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(PreconditionError, match="^claim requires e >= 1 and modulus_power >= 1$"):
+            CongruenceClaim(ClaimFamily.CW, -1, 4, 5, 1, 4, 0)
+        with pytest.raises(HypothesisError, match="^ell_coprime_to_denominator: 5 divides"):
             CongruenceClaim(ClaimFamily.T2, Fraction(1, 5), 2, 5, 2, 7, 1)
+        with pytest.raises(ValueError, match="'bogus' is not a valid ClaimFamily"):
+            CongruenceClaim("bogus", -1, 4, 5, 1, 4, 1)
 
 
 class TestFindW:
@@ -382,6 +385,44 @@ class TestCertificates:
         assert a == b
 
 
+class TestClaimValue:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        claim = build_cw_claim(-1, 4, 5, 4)
+        for name in CongruenceClaim.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(claim, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(claim, name)
+        with pytest.raises(AttributeError):
+            claim.extra = 0
+        assert claim == build_cw_claim(-1, 4, 5, 4)
+
+    def test_fields_in_order(self):
+        assert CongruenceClaim.__slots__ == ("family", "alpha", "d", "ell", "e", "r", "modulus_power")
+
+    def test_equal_claims_hash_alike(self):
+        a = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
+        b = CongruenceClaim("t1", Fraction(-2, 16), 6, 7, 2, 5, 2)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != build_t1_claim(Fraction(97, 8), 6, 7, 5)
+        assert a != _forced(a, modulus_power=3)
+
+    def test_never_equals_its_field_tuple(self):
+        claim = build_cw_claim(-1, 4, 5, 4)
+        fields = tuple(getattr(claim, name) for name in CongruenceClaim.__slots__)
+        assert claim != fields
+        assert fields != claim
+
+    def test_repr(self):
+        assert repr(build_cw_claim(-1, 4, 5, 4)) == (
+            "CongruenceClaim(family=<ClaimFamily.CW: 'cw'>, alpha=Fraction(-1, 1), "
+            "d=4, ell=5, e=1, r=4, modulus_power=1)"
+        )
+
+
 def test_infinity_never_in_counterexample_ord():
     claim = build_cw_claim(-1, 4, 5, 4)
     report = verify_claim(claim, 30)
@@ -393,8 +434,8 @@ def test_infinity_never_in_counterexample_ord():
 def _forced(claim, **changes):
     """The claim with some fields changed, built past every validation."""
     forced = object.__new__(CongruenceClaim)
-    for field in dataclasses.fields(CongruenceClaim):
-        object.__setattr__(forced, field.name, changes.get(field.name, getattr(claim, field.name)))
+    for name in CongruenceClaim.__slots__:
+        object.__setattr__(forced, name, changes.get(name, getattr(claim, name)))
     return forced
 
 
