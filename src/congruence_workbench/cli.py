@@ -17,10 +17,9 @@ file that cannot be written is a usage failure (exit 2).
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .arith import MAX_POWER_BITS, PRIME_TEST_BOUND, PreconditionError, check_power_cap, format_rational
@@ -49,8 +48,8 @@ EXIT_PRECONDITION = 2
 BACKEND_NAME = "fractions"
 DEFAULT_MAX_PRECISION = 50_000
 DEFAULT_N_MAX = 10
-
-_VISIBLE_COMMANDS = "{coeffs,eta,verify,find-w,sharpness,residues}"
+PROG = "congruence-workbench"
+DESCRIPTION = "Exact fractional-partition coefficients, eta powers, and congruence certificates."
 
 
 class UsageError(ValueError):
@@ -72,13 +71,10 @@ def _parse_int_flag(name: str, text: str) -> int:
 
 
 def _int_flag(text: str) -> int:
-    """argparse type of the integer flags; ArgumentTypeError keeps argparse from echoing the value."""
-    try:
-        value = evaluate_int(text)
-    except ExpressionError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """Kind of the integer flags: an exact expression below PRIME_TEST_BOUND in absolute value."""
+    value = evaluate_int(text)
     if abs(value) >= PRIME_TEST_BOUND:
-        raise argparse.ArgumentTypeError(f"must be below {PRIME_TEST_BOUND} in absolute value")
+        raise UsageError(f"must be below {PRIME_TEST_BOUND} in absolute value")
     return value
 
 
@@ -161,19 +157,16 @@ def _series_prec(args) -> int:
 
 def _build_claim(args):
     alpha = _parse_alpha(args.alpha)
-    family = args.family
     r = _parse_int_flag("--r", args.r)
-    if family == "cw":
+    if args.family == "cw":
         return build_cw_claim(alpha, _require(args, "d"), _require(args, "ell"), r)
-    if family == "t1":
+    if args.family == "t1":
         return build_t1_claim(alpha, _require(args, "d"), _require(args, "ell"), r)
-    if family == "t2":
+    if args.family == "t2":
         return build_t2_claim(alpha, _require(args, "ell"), r)
-    if family == "t3":
+    if args.family == "t3":
         return build_t3_claim(alpha, _require(args, "ell"), _require(args, "v"), r)
-    if family == "remark":
-        return build_remark_claim(alpha, _require(args, "d"), _require(args, "ell"), r)
-    raise UsageError(f"unknown family {family!r}")
+    return build_remark_claim(alpha, _require(args, "d"), _require(args, "ell"), r)  # the parser checked --family
 
 
 def _require(args, name: str) -> int:
@@ -204,8 +197,7 @@ def cmd_eta(args) -> int:
 
 def cmd_verify(args) -> int:
     claim = _build_claim(args)
-    n_max = args.nmax if args.nmax is not None else DEFAULT_N_MAX
-    report = verify_claim(claim, n_max, max_precision=args.max_prec)
+    report = verify_claim(claim, args.nmax, max_precision=args.max_prec)
     args.emit(certificate_line(report))
     if report.status is VerificationStatus.VERIFIED_IN_RANGE:
         return EXIT_OK
@@ -221,29 +213,15 @@ def cmd_find_w(args) -> int:
 
 def cmd_sharpness(args) -> int:
     claim = _build_claim(args)
-    n_max = args.nmax if args.nmax is not None else DEFAULT_N_MAX
-    witness = sharpness_probe(claim, n_max, max_precision=args.max_prec)
+    witness = sharpness_probe(claim, args.nmax, max_precision=args.max_prec)
     if witness is None:
-        if args.output == "jsonl":
-            args.emit(json.dumps({"status": "inconclusive"}, separators=(",", ":")))
-        else:
-            args.emit("inconclusive")
-        return EXIT_NEGATIVE
-    if args.output == "jsonl":
-        args.emit(
-            json.dumps(
-                {
-                    "status": "witness",
-                    "n": witness.n,
-                    "value": format_rational(witness.value),
-                    "ord": claim.modulus_power,
-                },
-                separators=(",", ":"),
-            )
-        )
+        record, line = {"status": "inconclusive"}, "inconclusive"
     else:
-        args.emit(f"{witness.n}\t{format_rational(witness.value)}\tord={claim.modulus_power}")
-    return EXIT_OK
+        value = format_rational(witness.value)
+        record = {"status": "witness", "n": witness.n, "value": value, "ord": claim.modulus_power}
+        line = f"{witness.n}\t{value}\tord={claim.modulus_power}"
+    args.emit(json.dumps(record, separators=(",", ":")) if args.output == "jsonl" else line)
+    return EXIT_NEGATIVE if witness is None else EXIT_OK
 
 
 def cmd_residues(args) -> int:
@@ -278,87 +256,109 @@ def cmd_seed_examples(args) -> int:
     return EXIT_OK
 
 
-# Values like "-1/8" or "-(13^12-1)/12" start with a dash; every option here
-# is --long-style, so widen what argparse treats as a negative-number value.
-_DASH_VALUE = re.compile(r"^-[\d(]")
+_REQUIRED = object()  # the default of a flag that must be given
+
+# The command table.  _FLAGS gives each flag's kind (_int_flag: integer expression, str: text, or a tuple
+# of choices) and help line; COMMANDS gives each command's handler, help line (None: unlisted) and flag defaults.
+_FLAGS = {
+    "--alpha": (str, "rational exponent, e.g. -1/8"),
+    "--n": (_int_flag, "largest index printed"),
+    "--mod": (str, "reduce mod L^K (L prime)"),
+    "--d": (_int_flag, "eta power"),
+    "--ell": (_int_flag, "prime ell"),
+    "--v": (_int_flag, "modulus exponent v"),
+    "--ord": (_int_flag, "exact ord of each residue"),
+    "--count": (_int_flag, "how many residues"),
+    "--family": (("cw", "t1", "t2", "t3", "remark"), "claim family"),
+    "--r": (str, "residue (literal or expression)"),
+    "--nmax": (_int_flag, "range bound"),
+    "--output": (("table", "jsonl"), "value formatting mode"),
+    "--out": (str, "append output lines to this file instead of stdout"),
+    "--max-prec": (_int_flag, "refuse runs needing more series precision, or printing more residues"),
+}
+_SHARED = {"--output": "table", "--out": None, "--max-prec": DEFAULT_MAX_PRECISION}
+_CLAIM = {"--family": _REQUIRED, "--alpha": _REQUIRED, "--d": None, "--ell": None, "--v": None, "--r": _REQUIRED,
+          "--nmax": DEFAULT_N_MAX}
+COMMANDS = {
+    "coeffs": (cmd_coeffs, "print p_alpha(0..N)", {"--alpha": _REQUIRED, "--n": _REQUIRED, "--mod": None}),
+    "eta": (cmd_eta, "print nonzero eta-power coefficients a_D(0..N)", {"--d": _REQUIRED, "--n": _REQUIRED}),
+    "verify": (cmd_verify, "emit a certificate line", _CLAIM),
+    "find-w": (cmd_find_w, "smallest w with a_2(ell^w) == 0 mod ell^v", {"--ell": _REQUIRED, "--v": _REQUIRED}),
+    "sharpness": (cmd_sharpness, "search for a sharpness witness", _CLAIM),
+    "residues": (cmd_residues, "smallest residues with prescribed exact ord",
+                 {"--d": _REQUIRED, "--ell": _REQUIRED, "--ord": _REQUIRED, "--count": 1}),
+    "seed-examples": (cmd_seed_examples, None, {}),
+}
+_LISTING = "choose from " + ", ".join(name for name, (_, text, _) in COMMANDS.items() if text)
 
 
-def _new_parser(factory, *args, **kwargs) -> argparse.ArgumentParser:
-    parser = factory(*args, **kwargs)
-    parser._negative_number_matcher = _DASH_VALUE
-    return parser
+def _is_value(token: str) -> bool:
+    """A token is a value unless it starts with "-" and a character other than a digit or "(" follows."""
+    return not token.startswith("-") or token == "-" or token[1] == "(" or token[1].isdecimal()
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--output", choices=("table", "jsonl"), default="table", help="value formatting mode"
-    )
-    common.add_argument("--out", metavar="FILE", help="append output lines to FILE instead of stdout")
-    common.add_argument(
-        "--max-prec",
-        type=_int_flag,
-        default=DEFAULT_MAX_PRECISION,
-        help="refuse runs needing more series precision, or printing more residues, than this",
-    )
-    return common
+def cmd_print(args) -> int:
+    args.emit(args.text)
+    return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Shared flags are attached to each subcommand; argparse subparsers parse
-    # into a fresh namespace, so top-level duplicates would be clobbered.
-    common = _common_flags()
-    parser = _new_parser(
-        argparse.ArgumentParser,
-        prog="congruence-workbench",
-        description="Exact fractional-partition coefficients, eta powers, and congruence certificates.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__} ({BACKEND_NAME})")
-    sub = parser.add_subparsers(dest="command", metavar=_VISIBLE_COMMANDS, required=True)
+class CommandParser:
+    """Parses argv against COMMANDS: full flag names, ``--flag value`` or ``--flag=value``, last repeat wins."""
 
-    p = _new_parser(sub.add_parser, "coeffs", parents=[common], help="print p_alpha(0..N)")
-    p.add_argument("--alpha", required=True, help="rational exponent, e.g. -1/8")
-    p.add_argument("--n", type=_int_flag, required=True, help="largest index printed")
-    p.add_argument("--mod", help="reduce mod L^K (L prime)")
-    p.set_defaults(handler=cmd_coeffs)
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        command, values, unknown = None, {}, []  # unknown flags are refused once -h had its chance
+        tokens = iter(sys.argv[1:] if argv is None else argv)
+        for token in tokens:
+            if token in ("-h", "--help") or (token == "--version" and command is None):
+                text = f"{PROG} {__version__} ({BACKEND_NAME})" if token == "--version" else self.help(command)
+                return SimpleNamespace(handler=cmd_print, text=text, out=None)
+            if command is None and (token == "--" or _is_value(token)):
+                if token not in COMMANDS:
+                    raise UsageError(f"invalid command {_quote(token)} ({_LISTING})")
+                command, values = token, COMMANDS[token][2] | _SHARED
+                continue
+            if token == "--":  # the rest is positional, and no command takes any
+                raise UsageError("unrecognized argument '--'")
+            name, eq, value = token.partition("=")
+            if name not in values:
+                unknown.append(token)
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None or not _is_value(value):
+                    raise UsageError(f"argument {name}: expected one argument")
+            kind = _FLAGS[name][0]
+            try:
+                if isinstance(kind, tuple) and value not in kind:
+                    raise UsageError(f"invalid choice {_quote(value)} (choose from {', '.join(kind)})")
+                values[name] = value if isinstance(kind, tuple) else kind(value)
+            except (UsageError, ExpressionError) as exc:
+                raise UsageError(f"argument {name}: {exc}") from None
+        if command is None:
+            raise UsageError(f"a command is required ({_LISTING})")
+        missing = ", ".join(name for name, value in values.items() if value is _REQUIRED)
+        if missing:
+            raise UsageError(f"the following arguments are required: {missing}")
+        if unknown:
+            raise UsageError(f"unrecognized argument {_quote(unknown[0])}")
+        return SimpleNamespace(handler=COMMANDS[command][0], **{n[2:].replace("-", "_"): v for n, v in values.items()})
 
-    p = _new_parser(sub.add_parser, "eta", parents=[common], help="print nonzero eta-power coefficients a_D(0..N)")
-    p.add_argument("--d", type=_int_flag, required=True)
-    p.add_argument("--n", type=_int_flag, required=True)
-    p.set_defaults(handler=cmd_eta)
+    def help(self, command=None) -> str:
+        """The listing of the commands, or of one command's flags, built from COMMANDS."""
+        if command is None:
+            rows = [f"  {name:<10} {text}" for name, (_, text, _) in COMMANDS.items() if text]
+            return "\n".join([f"usage: {PROG} COMMAND [flags]", DESCRIPTION, *rows, "  --version  print the version"])
+        rows = [f"usage: {PROG} {command} [flags]", *filter(None, [COMMANDS[command][1]])]
+        for name, default in (COMMANDS[command][2] | _SHARED).items():
+            kind, text = _FLAGS[name]
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "INT" if kind is _int_flag else "TEXT"
+            note = " (required)" if default is _REQUIRED else "" if default is None else f" (default {default})"
+            rows.append(f"  {name} {metavar}: {text}{note}")
+        return "\n".join(rows)
 
-    for name, handler in (("verify", cmd_verify), ("sharpness", cmd_sharpness)):
-        p = _new_parser(
-            sub.add_parser,
-            name,
-            parents=[common],
-            help="emit a certificate line" if name == "verify" else "search for a sharpness witness",
-        )
-        p.add_argument("--family", required=True, choices=("cw", "t1", "t2", "t3", "remark"))
-        p.add_argument("--alpha", required=True)
-        p.add_argument("--d", type=_int_flag)
-        p.add_argument("--ell", type=_int_flag)
-        p.add_argument("--v", type=_int_flag, help="modulus exponent for --family t3")
-        p.add_argument("--r", required=True, help="residue (literal or expression)")
-        p.add_argument("--nmax", type=_int_flag, help=f"range bound (default {DEFAULT_N_MAX})")
-        p.set_defaults(handler=handler)
 
-    p = _new_parser(sub.add_parser, "find-w", parents=[common], help="smallest w with a_2(ell^w) == 0 mod ell^v")
-    p.add_argument("--ell", type=_int_flag, required=True)
-    p.add_argument("--v", type=_int_flag, required=True)
-    p.set_defaults(handler=cmd_find_w)
-
-    p = _new_parser(sub.add_parser, "residues", parents=[common], help="smallest residues with prescribed exact ord")
-    p.add_argument("--d", type=_int_flag, required=True)
-    p.add_argument("--ell", type=_int_flag, required=True)
-    p.add_argument("--ord", type=_int_flag, required=True)
-    p.add_argument("--count", type=_int_flag, default=1)
-    p.set_defaults(handler=cmd_residues)
-
-    p = _new_parser(sub.add_parser, "seed-examples", parents=[common])
-    p.set_defaults(handler=cmd_seed_examples)
-
-    return parser
+def build_parser() -> CommandParser:
+    return CommandParser()
 
 
 def main(argv=None) -> int:
@@ -369,10 +369,7 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+        args = build_parser().parse_args(argv)
         output = _Output(args.out)
         args.emit = output.emit
         try:

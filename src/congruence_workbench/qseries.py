@@ -80,6 +80,9 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Series is immutable")
+
     def coeff(self, n: int):
         """Coefficient at exponent n; 0 for n < 0 by convention."""
         if n < 0:

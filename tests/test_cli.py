@@ -413,6 +413,17 @@ def _run_subprocess(args):
     )
 
 
+def _imported_modules(*args):
+    """The modules ``python -X importtime <args>`` imports, read from its report on stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+
+
 class TestDeterminism:
     def test_seed_examples_byte_identical_across_runs(self):
         outputs = set()
@@ -445,19 +456,17 @@ class TestDeterminism:
         imported = set(proc.stdout.decode().split())
         assert "congruence_workbench.cli" in imported
         assert unwanted.isdisjoint(imported)
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "congruence_workbench", "--version"],
-            capture_output=True,
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        imported = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.decode().splitlines()
-            if line.startswith("import time:")
-        }
-        assert "congruence_workbench.cli" in imported
-        assert unwanted.isdisjoint(imported)
+        # argument parsing: argparse pulls in gettext, whose first message loads
+        # locale, and --version formatting loads textwrap; a site .pth file may
+        # import some of these before the program starts, so that is the baseline
+        parsing = {"argparse", "gettext", "locale", "textwrap"}
+        baseline = _imported_modules("-c", "pass")
+        verify = ("verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4", "--nmax", "3")
+        for argv in (("--version",), verify):
+            imported = _imported_modules("-m", "congruence_workbench", *argv)
+            assert "congruence_workbench.cli" in imported
+            assert unwanted.isdisjoint(imported)
+            assert parsing.isdisjoint(imported - baseline), argv
 
     def test_version_names_fractions(self):
         proc = _run_subprocess(["--version"])
@@ -578,3 +587,95 @@ def test_printed_size_bound():
     with pytest.raises(UsageError, match="cap"):
         _check_printed_size(5, 2, 2**18)
     _check_printed_size(50_000, 5, 10)  # coeffs --n 49999 --mod 5^10: many small residues
+
+
+_LONG = "x" * 100_000
+_FIND_W = ("find-w", "--ell", "13", "--v", "1")
+_PARSE_REFUSALS = {
+    "unknown-command": (_LONG, "--ell", "13"),
+    "unknown-flag": (*_FIND_W, "--" + _LONG),
+    "unknown-flag-before-command": ("--" + _LONG, *_FIND_W),
+    "flag-without-value": ("find-w", "--ell", "13", "--v", "--" + _LONG),
+    "bad-family": ("verify", "--family", _LONG, "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4"),
+    "bad-output": (*_FIND_W, "--output", _LONG),
+    "missing-required": ("verify", "--alpha", _LONG, "--d", "4"),
+    "abbreviation": (*_FIND_W, "--max=" + "9" * 100_000),
+}
+
+
+@pytest.mark.parametrize("argv", _PARSE_REFUSALS.values(), ids=_PARSE_REFUSALS.keys())
+def test_parse_refusal_is_one_short_line(capsys, argv):
+    assert max(len(a) for a in argv) >= 100_000
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
+
+
+# every flag of each command's table row, the shared ones included
+_COMMAND_FLAGS = {
+    "coeffs": ("--alpha", "--n", "--mod"),
+    "eta": ("--d", "--n"),
+    "verify": ("--family", "--alpha", "--d", "--ell", "--v", "--r", "--nmax"),
+    "find-w": ("--ell", "--v"),
+    "sharpness": ("--family", "--alpha", "--d", "--ell", "--v", "--r", "--nmax"),
+    "residues": ("--d", "--ell", "--ord", "--count"),
+    "seed-examples": (),
+}
+_T1 = ("verify", "--family", "t1", "--d", "6", "--ell", "7", "--r", "5", "--nmax", "4")
+
+
+class TestParser:
+    def test_equals_form_matches_separate_value(self, capsys):
+        separate = run_cli(capsys, *_T1, "--alpha", "-1/8")
+        assert separate[0] == 0 and '"status":"VERIFIED_IN_RANGE"' in separate[1]
+        assert run_cli(capsys, *_T1, "--alpha=-1/8") == separate
+
+    def test_dash_values(self):
+        from congruence_workbench.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["verify", "--family", "t3", "--alpha", "-1/8", "--ell", "13", "--v", "1", "--r", "-(13^12-1)/12"]
+        )
+        assert args.alpha == "-1/8" and args.r == "-(13^12-1)/12" and args.v == 1
+        assert args.nmax == 10 and args.max_prec == 50_000 and args.output == "table" and args.out is None
+
+    def test_repeated_flag_keeps_last_value(self, capsys):
+        code, out, _ = run_cli(capsys, *_T1, "--alpha", "-1/8", "--nmax", "9", "--nmax", "3")
+        assert code == 0 and json.loads(out)["n_max"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--alpha", "1", "--out", "--n", "3"),
+            (*_T1[:-2], "--alpha", "-1/8", "--n", "5"),  # --n abbreviated --nmax
+            ("find-w", "--ell", "13", "--v", "1", "--max-p", "5"),
+            ("find-w", "--ell", "13", "--v", "1", "--", "-h"),
+            ("--vers",),
+        ],
+        ids=["flag-as-value", "abbreviated-nmax", "abbreviated-max-prec", "after-double-dash", "abbreviated-version"],
+    )
+    def test_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_missing_flags_named_together(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--alpha", "-1", "--d", "4")
+        assert code == 2 and err == "error: the following arguments are required: --family, --r\n"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, capsys, flag):
+        code, out, _ = run_cli(capsys, flag)
+        assert code == 0
+        listed = [c for c in _COMMAND_FLAGS if f"  {c} " in out]
+        assert listed == ["coeffs", "eta", "verify", "find-w", "sharpness", "residues"]
+        for command, flags in _COMMAND_FLAGS.items():
+            code, out, err = run_cli(capsys, command, "--bogus", flag)
+            assert code == 0 and err == ""
+            assert out.startswith(f"usage: congruence-workbench {command} ")
+            for name in (*flags, "--output", "--out", "--max-prec"):
+                assert f"  {name} " in out, (command, name)
+
+    def test_version_in_process(self, capsys):
+        assert run_cli(capsys, "--version") == (0, "congruence-workbench 0.1.0 (fractions)\n", "")

@@ -67,6 +67,16 @@ class TestRingOps:
         g = euler_product(2, 40)
         assert (f + g) - g == f
 
+    def test_immutable(self):
+        s = Series([1, 2])
+        for name in ("coeffs", "prec"):
+            with pytest.raises(AttributeError, match="Series is immutable"):
+                setattr(s, name, (0,))
+            with pytest.raises(AttributeError, match="Series is immutable"):
+                delattr(s, name)
+        assert s.coeffs == (1, 2) and s.prec == 2
+        assert s == Series([1, 2]) and hash(s) == hash(Series([1, 2]))
+
 
 class TestPowInt:
     def test_power_zero(self):
