@@ -38,7 +38,7 @@ from .congruence import (
 )
 from .forms import eta_power
 from .intexpr import ExpressionError, _quote, evaluate_int, evaluate_rational
-from .qseries import euler_product, frac_partition_series, series_pow_numerators, series_reduce_mod
+from .qseries import euler_product, frac_partition_series, series_pow_numerators, series_pow_pairs, series_reduce_mod
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -180,7 +180,8 @@ def cmd_coeffs(args) -> int:
     alpha = _parse_alpha(args.alpha)
     prec = _series_prec(args)
     if args.mod is None:
-        _emit_values(args, enumerate(frac_partition_series(alpha, prec).coeffs), format_rational)
+        # lowest-terms pairs as they stream, with no Fraction and no gcd of two big ints
+        _emit_values(args, enumerate(series_pow_pairs(euler_product(1, prec), alpha)), "%d/%d".__mod__)
         return EXIT_OK
     # residues N(n) * D^-1 mod L^K straight from the kernel's int numerators
     ell, k = _parse_mod(args.mod)

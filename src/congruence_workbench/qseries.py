@@ -25,11 +25,15 @@ ends in one exact division by b*n (checked; a remainder raises).
 numerators and D.  Checks read those: :func:`series_reduce_mod` takes
 int numerators only and reduces N(n) * D^-1 mod ell^k with one
 multiplication each, so congruence checks build no ``Fraction``.
-:func:`series_pow_rational` builds one reduced Fraction per
-coefficient, for values that are printed.  Input coefficients must be
-``int``; any other raises TypeError.  This is the only power
-algorithm: :func:`series_pow_int` runs the same pass with b = 1, where
-the common denominator is 1, so the result is ints.
+Exact values have one reduction path, :func:`series_pow_pairs`: it
+divides N(n) by D / D(n), the closed form above, and strips the factor
+left in common with gcds against b, never a gcd of two big ints unless
+a shared prime power exceeds b.  It yields int pairs in lowest terms;
+``coeffs`` prints them as they stream, and :func:`series_pow_rational`
+turns them into ``Fraction`` values at the API edge.  Input
+coefficients must be ``int``; any other raises TypeError.  This is the
+only power algorithm: :func:`series_pow_int` runs the same pass with
+b = 1, where the common denominator is 1, so the result is ints.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
     "parse_series_text",
     "series_pow_int",
     "series_pow_numerators",
+    "series_pow_pairs",
     "series_pow_rational",
     "series_reduce_mod",
     "series_shift",
@@ -235,19 +240,45 @@ def series_pow_numerators(f: Series, alpha) -> tuple[Series, int]:
     return Series(num), denominator
 
 
+def series_pow_pairs(f: Series, alpha):
+    """Yield coefficient n of f**alpha in lowest terms, as ints (num, den) with den > 0, for n = 0, 1, ...
+
+    Same requirements as :func:`series_pow_numerators`, whose output it
+    reduces as it walks n upward.
+    D(n) = b^n * prod_{p | b} p^ord_p(n!) divides the kernel's D, and
+    D(n)*g(n) is an integer, so M(n) = N(n) // (D / D(n)) is exact and
+    g(n) = M(n) / D(n).  Every prime of D(n) divides b, so the pair is in
+    lowest terms exactly when s = gcd(gcd(M(n), b), D(n)) is 1: b is never
+    factored, and this first probe has an operand of at most b.  What M(n)
+    and D(n) share after dividing by s has only primes of s, so the next
+    probe is s*s in place of b; a prime shared to a high power costs a few
+    rounds, not one per power, and a zero coefficient comes out as (0, 1).
+    """
+    numerators, denominator = series_pow_numerators(f, alpha)
+    b = as_rational(alpha).denominator
+    quotient, den_n = denominator, 1  # D / D(n) and D(n)
+    for n, c in enumerate(numerators.coeffs):
+        if n:
+            step = _multiplier(n, b)
+            quotient //= step
+            den_n *= step
+        num, den = c // quotient, den_n
+        shared = gcd(gcd(num, b), den)
+        while shared > 1:
+            num //= shared
+            den //= shared
+            shared = gcd(gcd(num, shared * shared), den)
+        yield num, den
+
+
 def series_pow_rational(f: Series, alpha) -> Series:
     """f**alpha for rational alpha; requires f(0) = 1 and int coefficients.
 
     Exact output: the unique solution g of f*g' = alpha*f'*g with
-    g(0) = 1, as reduced ``Fraction`` values N(n) / D built from
-    :func:`series_pow_numerators`.
+    g(0) = 1, one ``Fraction`` per lowest-terms pair of
+    :func:`series_pow_pairs`.
     """
-    numerators, denominator = series_pow_numerators(f, alpha)
-    out = list(numerators.coeffs)
-    del numerators  # convert in place, so the integers and the output are never both whole
-    for n, c in enumerate(out):
-        out[n] = Fraction(c, denominator)
-    return Series(out)
+    return Series([Fraction(num, den) for num, den in series_pow_pairs(f, alpha)])
 
 
 def series_pow_int(f: Series, e: int) -> Series:

@@ -10,8 +10,9 @@ import pytest
 
 from congruence_workbench import qseries
 from congruence_workbench.cli import main
+from congruence_workbench.qseries import euler_product
 
-from oracles import binomial_series_power, naive_euler_product
+from oracles import binomial_series_power, naive_euler_product, pow_rational_by_fractions
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,30 @@ class TestCoeffs:
         monkeypatch.setattr(qseries, "Fraction", refuse)
         code, out, _ = run_cli(capsys, "coeffs", "--alpha", "-1/8", "--n", "300", "--mod", "7^3")
         assert code == 0 and len(out.splitlines()) == 301
+
+    def test_exact_builds_no_coefficient_fraction(self, capsys, monkeypatch):
+        # exact values are printed from the lowest-terms int pairs
+        def refuse(*args):
+            raise AssertionError("a coefficient Fraction was built")
+
+        monkeypatch.setattr(qseries, "Fraction", refuse)
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", "1/13", "--n", "60")
+        assert code == 0 and len(out.splitlines()) == 61
+        assert out.splitlines()[7] == "7\t-3395395/62748517"
+
+    @pytest.mark.parametrize("output", ["table", "jsonl"])
+    @pytest.mark.parametrize("alpha", ["5/36", "-7/30"])
+    def test_exact_matches_fraction_recurrence(self, capsys, alpha, output):
+        # denominators with several primes, which no recorded benchmark job covers
+        values = pow_rational_by_fractions(euler_product(1, 81), Fraction(alpha)).coeffs
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", alpha, "--n", "80", "--output", output)
+        assert code == 0
+        texts = [f"{c.numerator}/{c.denominator}" for c in values]
+        if output == "jsonl":
+            want = [json.dumps({"n": n, "value": text}, separators=(",", ":")) for n, text in enumerate(texts)]
+        else:
+            want = [f"{n}\t{text}" for n, text in enumerate(texts)]
+        assert out.splitlines() == want
 
     def test_jsonl_mode(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--output", "jsonl", "--alpha", "-1", "--n", "2")

@@ -1,6 +1,7 @@
 """Property tests: random inputs checked against independent references."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from congruence_workbench.qseries import (
     parse_series_text,
     series_pow_int,
     series_pow_numerators,
+    series_pow_pairs,
     series_pow_rational,
     series_reduce_mod,
 )
@@ -130,6 +132,28 @@ def test_pow_rational_exponents_add(f, a, b):
 def test_pow_rational_exponents_multiply(f, a, b):
     # f^a stays an int series for integer a, so it can be raised again
     assert series_pow_rational(series_pow_int(f, a), b) == series_pow_rational(f, a * b)
+
+
+# -- lowest-terms pairs against Fraction(N(n), D) ---------------------------
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), max_size=14),
+    st.integers(0, 2),
+    st.integers(0, 250),
+    st.integers(-300, 300),
+    st.sampled_from([1, 2, 8, 12, 13, 30, 36, 2**64, 1000003 * 1000033]),
+)
+def test_pairs_are_the_reduced_fractions(tail, power, pad, a, b):
+    # a tail scaled by b^power makes numerator and denominator share b's primes
+    assume(gcd(a, b) == 1)
+    f = Series([1] + [c * b**power for c in tail] + [0] * pad)
+    numerators, denominator = series_pow_numerators(f, Fraction(a, b))
+    want = [Fraction(c, denominator) for c in numerators.coeffs]
+    got = list(series_pow_pairs(f, Fraction(a, b)))
+    assert got == [(x.numerator, x.denominator) for x in want]
+    assert all(den > 0 for _, den in got)
 
 
 # -- residues of the kernel's int numerators against the Fractions ---------

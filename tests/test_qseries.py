@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from congruence_workbench.qseries import (
     parse_series_text,
     series_pow_int,
     series_pow_numerators,
+    series_pow_pairs,
     series_pow_rational,
     series_reduce_mod,
     series_shift,
@@ -212,6 +214,75 @@ class TestFractionFreeKernel:
         monkeypatch.setattr(qseries, "_multiplier", lambda n, b: b)
         with pytest.raises(ArithmeticError):
             series_pow_rational(euler_product(1, 10), Fraction(1, 2))
+
+
+# b of alpha = a/b: prime powers, several primes, a 65-bit power of 2, and a
+# semiprime of two 20-bit primes, which the reduction must never factor
+_PAIR_DENOMINATORS = [1, 2, 8, 12, 13, 30, 36, 2**64, 1000003 * 1000033]
+
+
+class TestLowestTermsPairs:
+    """series_pow_pairs against Fraction(N(n), D), the reduction it replaces."""
+
+    @staticmethod
+    def _alphas(b):
+        # negative and positive numerators prime to b; 0 too when b = 1
+        return [Fraction(a, b) for a in (1, -1, b + 1, -(2 * b + 1), 7 * b - 1)] + ([Fraction(0)] if b == 1 else [])
+
+    @staticmethod
+    def _assert_matches(f, alpha):
+        numerators, denominator = series_pow_numerators(f, alpha)
+        want = [Fraction(c, denominator) for c in numerators.coeffs]
+        got = list(series_pow_pairs(f, alpha))
+        assert got == [(x.numerator, x.denominator) for x in want], (f.prec, alpha)
+        assert all(type(num) is int and type(den) is int and den > 0 for num, den in got)
+        assert all(den == 1 for num, den in got if num == 0)
+        return got
+
+    @pytest.mark.parametrize("b", _PAIR_DENOMINATORS, ids=str)
+    def test_euler_powers(self, b):
+        alphas = self._alphas(b)
+        for alpha in alphas:
+            for prec in (1, 2, 3, 41):
+                self._assert_matches(euler_product(1, prec), alpha)
+        for alpha in (alphas[0], alphas[3]):  # a/b with a > 0 and a < 0
+            self._assert_matches(euler_product(1, 300), alpha)
+
+    @pytest.mark.parametrize("b", _PAIR_DENOMINATORS, ids=str)
+    def test_zero_and_shared_factors(self, b):
+        # 1 + c*q^3 leaves zeros off the multiples of 3; c = 6*b^2 makes
+        # numerator and denominator share high powers of b's primes
+        for c in (5, 6 * b * b):
+            f = Series([1, 0, 0, c] + [0] * 116)
+            for alpha in self._alphas(b):
+                got = self._assert_matches(f, alpha)
+                assert got[1] == got[2] == (0, 1)
+
+    @pytest.mark.parametrize("b", [2, 13, 36], ids=str)
+    def test_dense_series(self, b):
+        f = series_pow_int(euler_product(1, 120), -1)
+        for alpha in self._alphas(b):
+            self._assert_matches(f, alpha)
+
+    def test_no_gcd_of_two_big_ints_on_euler_powers(self, monkeypatch):
+        # every gcd the reduction takes on (q;q)_inf^alpha has an operand of at most b
+        seen = []
+
+        def recording_gcd(x, y):
+            seen.append(min(abs(x), abs(y)))
+            return gcd(x, y)
+
+        monkeypatch.setattr(qseries, "gcd", recording_gcd)
+        for b in (8, 13, 36, 1000003 * 1000033):
+            seen.clear()
+            pairs = list(series_pow_pairs(euler_product(1, 200), Fraction(-1, b)))
+            assert pairs[-1][1].bit_length() > 200 and seen and max(seen) <= b
+
+    def test_kernel_refusals_come_through(self):
+        with pytest.raises(PreconditionError):
+            next(series_pow_pairs(series_from_ints([2, 1]), Fraction(1, 2)))
+        with pytest.raises(TypeError):
+            next(series_pow_pairs(Series([1, Fraction(1, 2)]), Fraction(1, 2)))
 
 
 class TestEulerProduct:
