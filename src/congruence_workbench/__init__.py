@@ -3,7 +3,8 @@
 Computes coefficients of (q;q)_inf^alpha and of Dedekind-eta powers in
 exact rational arithmetic, verifies prime-power congruence claims over
 coefficient ranges, searches for the parameters those claims need, and
-probes modulus sharpness.  No floating point anywhere.
+probes modulus sharpness.  No floating point anywhere.  The API is what
+the commands run, plus the eta forms and their Hecke images at primes.
 """
 
 __version__ = "0.1.0"
@@ -12,8 +13,6 @@ from .arith import (
     INFINITY,
     NotLIntegralError,
     PreconditionError,
-    QuadRational,
-    chi_eta,
     format_rational,
     is_prime,
     kronecker_symbol,
@@ -45,13 +44,8 @@ from .forms import (
     EtaPowerSpec,
     FormExpansion,
     a2_prime_power_sequence,
-    divisor_sigma,
-    eigenform_violations,
-    eisenstein_series,
     eta_form,
     eta_power,
-    hecke_apply,
-    serre_components,
 )
 from .qseries import (
     Series,
@@ -75,7 +69,6 @@ __all__ = [
     "INFINITY",
     "NotLIntegralError",
     "PreconditionError",
-    "QuadRational",
     "Series",
     "VerificationReport",
     "VerificationStatus",
@@ -88,10 +81,6 @@ __all__ = [
     "build_t3_claim",
     "certificate_line",
     "chan_wang_condition",
-    "chi_eta",
-    "divisor_sigma",
-    "eigenform_violations",
-    "eisenstein_series",
     "eta_form",
     "eta_power",
     "euler_product",
@@ -100,7 +89,6 @@ __all__ = [
     "find_w",
     "format_rational",
     "frac_partition_series",
-    "hecke_apply",
     "is_d_satisfactory",
     "is_prime",
     "kronecker_symbol",
@@ -108,7 +96,6 @@ __all__ = [
     "padic_ord",
     "parse_rational",
     "reduce_mod_prime_power",
-    "serre_components",
     "series_pow_int",
     "series_pow_numerators",
     "series_pow_rational",

@@ -1,17 +1,16 @@
 """Exact scalar arithmetic.
 
 Rationals are ``fractions.Fraction`` (a plain int embeds into them).
-This module adds their text format, the quadratic extension
-Q(sqrt(-3)), l-adic valuations with a proper infinity,
-quadratic-residue symbols (Legendre / Jacobi / Kronecker) together with
-the eta-power character table, and a Miller-Rabin primality test that
-is exact below PRIME_TEST_BOUND.
+This module adds their text format, l-adic valuations with a proper
+infinity, canonical residues mod prime powers, quadratic-residue
+symbols (Legendre / Jacobi / Kronecker) together with the eta-power
+character table, and a Miller-Rabin primality test that is exact below
+PRIME_TEST_BOUND.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 __all__ = [
     "INFINITY",
@@ -19,20 +18,15 @@ __all__ = [
     "NotLIntegralError",
     "PRIME_TEST_BOUND",
     "PreconditionError",
-    "QuadRational",
     "as_rational",
     "check_power_cap",
-    "chi_eta",
     "eta_character_numerator",
-    "format_quad",
     "format_rational",
     "is_prime",
     "kronecker_symbol",
     "legendre_symbol",
     "padic_ord",
-    "parse_quad",
     "parse_rational",
-    "primes_below",
     "reduce_mod_prime_power",
 ]
 
@@ -162,18 +156,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_below(limit: int) -> list[int]:
-    """All primes < limit, by sieve."""
-    if limit <= 2:
-        return []
-    flags = bytearray([1]) * limit
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(limit) if flags[i]]
-
-
 def _require_prime(ell: int, what: str = "modulus"):
     if not is_prime(ell):
         raise PreconditionError(f"{what} {ell} is not prime")
@@ -253,18 +235,6 @@ def eta_character_numerator(d: int) -> int:
     return 12
 
 
-def chi_eta(d: int, m: int) -> int:
-    """Character value attached to the d-th eta power, evaluated at m >= 1.
-
-    The bare Kronecker symbol (a/m) for a = eta_character_numerator(d);
-    ``forms.eta_form`` reads the same table and also zeroes the value at
-    the primes dividing its level.
-    """
-    if m < 1:
-        raise PreconditionError("chi_eta requires m >= 1")
-    return kronecker_symbol(eta_character_numerator(d), m)
-
-
 def reduce_mod_prime_power(x, ell: int, k: int) -> int:
     """Canonical residue of a rational in [0, ell^k).
 
@@ -281,123 +251,3 @@ def reduce_mod_prime_power(x, ell: int, k: int) -> int:
         )
     mod = ell**k
     return num * pow(den, -1, mod) % mod
-
-
-class QuadRational:
-    """Immutable element re + im*sqrt(-3) with exact rational components.
-
-    The norm re^2 + 3*im^2 is multiplicative, which is what the tests
-    lean on.  Division is exact: x^-1 = conj(x) / norm(x).
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        object.__setattr__(self, "re", as_rational(re))
-        object.__setattr__(self, "im", as_rational(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadRational is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("QuadRational is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, QuadRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadRational(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return QuadRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRational(
-            self.re * o.re - 3 * self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("QuadRational zero has no inverse")
-        return QuadRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, QuadRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def norm(self):
-        return self.re * self.re + 3 * self.im * self.im
-
-    def __repr__(self):
-        return f"QuadRational({self.re}, {self.im})"
-
-    def __str__(self):
-        return format_quad(self)
-
-
-def format_quad(x: QuadRational) -> str:
-    """Serialize as ``"<re>+<im>*sqrt(-3)"`` with rational components."""
-    return f"{format_rational(x.re)}+{format_rational(x.im)}*sqrt(-3)"
-
-
-def parse_quad(text: str) -> QuadRational:
-    s = text.strip()
-    suffix = "*sqrt(-3)"
-    if not s.endswith(suffix):
-        raise ValueError(f"malformed QuadRational literal {text!r}")
-    body = s[: -len(suffix)]
-    re_s, sep, im_s = body.rpartition("+")
-    if not sep:
-        raise ValueError(f"malformed QuadRational literal {text!r}")
-    return QuadRational(parse_rational(re_s), parse_rational(im_s))

@@ -71,7 +71,8 @@ __all__ = [
 ]
 
 CHAN_WANG_D = (1, 3, 4, 6, 8, 10, 14, 26)
-SATISFACTORY_D = (2, 4, 6, 8, 10, 14, 26)
+CM_D = (4, 6, 8, 10, 14, 26)  # eta^d has complex multiplication
+REMARK_PAIRS = ((14, 5), (26, 11))
 
 
 class ClaimFamily(str, Enum):
@@ -121,11 +122,7 @@ class CongruenceClaim:
             raise PreconditionError("claim requires e >= 1 and modulus_power >= 1")
         if not 0 <= r < ell**e:
             raise PreconditionError(f"claim residue r = {r} outside [0, {ell}^{e})")
-        if alpha.denominator % ell == 0:
-            raise HypothesisError(
-                "ell_coprime_to_denominator",
-                f"{ell} divides the denominator of alpha; values are not {ell}-integral",
-            )
+        _check_denominator(alpha, ell)
 
     def __setattr__(self, name, value):
         raise AttributeError("CongruenceClaim is immutable")
@@ -178,20 +175,23 @@ class VerificationReport(NamedTuple):
     note: str = ""
 
 
+def _inert(d: int, ell: int) -> bool:
+    """The table both hypotheses read: ell inert in the CM field of eta^d (ell >= 7 for d = 6, 10)."""
+    if d in (4, 8, 14):
+        return ell % 6 == 5
+    if d in (6, 10):
+        return ell >= 7 and ell % 4 == 3
+    return ell % 12 == 11  # d == 26
+
+
 def is_d_satisfactory(d: int, ell: int) -> bool:
     """Residue-class conditions under which a_d vanishes along ell-multiples."""
     if not is_prime(ell):
         raise PreconditionError(f"{ell} is not prime")
     if d == 2:
         return ell % 12 != 1
-    if d in (4, 8):
-        return ell % 6 == 5
-    if d == 14:
-        return ell % 6 == 5 and ell != 5
-    if d in (6, 10):
-        return ell >= 7 and ell % 4 == 3
-    if d == 26:
-        return ell % 12 == 11 and ell != 11
+    if d in CM_D:
+        return _inert(d, ell) and (d, ell) not in REMARK_PAIRS
     raise PreconditionError(f"no satisfactory-prime condition for d = {d}")
 
 
@@ -205,12 +205,8 @@ def chan_wang_condition(d: int, ell: int, r: int) -> bool:
         return legendre_symbol(24 * r + 1, ell) == -1
     if d == 3:
         return legendre_symbol(8 * r + 1, ell) != 1
-    if d in (4, 8, 14):
-        return ell % 6 == 5 and (24 * r + d) % ell == 0
-    if d in (6, 10):
-        return ell >= 7 and ell % 4 == 3 and (24 * r + d) % ell == 0
-    if d == 26:
-        return ell % 12 == 11 and (24 * r + d) % ell == 0
+    if d in CM_D:
+        return _inert(d, ell) and (24 * r + d) % ell == 0
     raise PreconditionError(f"no Chan-Wang condition for d = {d}")
 
 
@@ -269,8 +265,8 @@ def _finite_alpha_ord(alpha, d: int, ell: int):
 def build_t1_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
     """Squared-progression claim with modulus ell^(ord_ell(alpha - d))."""
     alpha = as_rational(alpha)
-    if d not in (4, 6, 8, 10, 14, 26):
-        raise HypothesisError("d_in_family_list", f"d = {d} not in (4, 6, 8, 10, 14, 26)")
+    if d not in CM_D:
+        raise HypothesisError("d_in_family_list", f"d = {d} not in {CM_D}")
     if not is_d_satisfactory(d, ell):
         raise HypothesisError("d_satisfactory", f"{ell} is not {d}-satisfactory")
     _check_denominator(alpha, ell)
@@ -344,7 +340,7 @@ def build_t3_claim(alpha, ell: int, v: int, r: int) -> CongruenceClaim:
 def build_remark_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
     """The excluded-prime variants (d, ell) in {(14, 5), (26, 11)}."""
     alpha = as_rational(alpha)
-    if (d, ell) not in ((14, 5), (26, 11)):
+    if (d, ell) not in REMARK_PAIRS:
         raise HypothesisError(
             "remark_pair", f"(d, ell) = ({d}, {ell}) not in {{(14, 5), (26, 11)}}"
         )

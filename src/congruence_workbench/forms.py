@@ -1,4 +1,4 @@
-"""Eta powers, Eisenstein series, Hecke operators, and eigenform checks.
+"""Eta powers, their Hecke images at a prime, and the a_2(ell^i) recursion.
 
 The d-th eta power is expanded with rescaled argument so that all
 q-exponents are integral: with g = gcd(d, 24), M = 24/g and t = d/g,
@@ -12,24 +12,25 @@ symbol (or None for the principal character; eta powers read theirs from
 ``arith.eta_character_numerator``) together with its level;
 values are taken as a Dirichlet character modulo the level, i.e. zero
 whenever the argument shares a factor with the level.  Evaluating the
-bare Kronecker symbol instead would report spurious eigenform failures
-at the primes dividing the level (for the weight-1 form the relation at
+bare Kronecker symbol instead would break the eigenform relations at the
+primes dividing the level (for the weight-1 form the relation at
 n = ell = 2 forces chi(2) = 0, while the bare symbol gives (-1/2) = 1).
+
+The eigenform decompositions of d in {10, 14, 26} run in no command; they
+are a test oracle, ``tests/eigenforms.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator, NamedTuple
 
 from .arith import (
     PreconditionError,
-    QuadRational,
     eta_character_numerator,
     is_prime,
     kronecker_symbol,
-    primes_below,
 )
 from .qseries import (
     Series,
@@ -42,23 +43,12 @@ from .qseries import (
 __all__ = [
     "EtaPowerSpec",
     "FormExpansion",
-    "NotNormalizedError",
     "a2_prime_power_iter",
     "a2_prime_power_sequence",
-    "divisor_sigma",
-    "eigenform_violations",
-    "eisenstein_series",
     "eta_form",
     "eta_power",
-    "hecke_apply",
     "hecke_apply_prime",
-    "normalize_leading",
-    "serre_components",
 ]
-
-
-class NotNormalizedError(PreconditionError):
-    """Eigenform scan called on a form whose coefficient at q is neither 0 nor 1."""
 
 
 class EtaPowerSpec(NamedTuple):
@@ -111,35 +101,6 @@ class FormExpansion(NamedTuple):
         raise PreconditionError(f"weight {k} is not a positive integer")
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
-def divisor_sigma(j: int, n: int) -> int:
-    """Sum of j-th powers of the positive divisors of n."""
-    if n < 1:
-        raise PreconditionError("divisor_sigma requires n >= 1")
-    return sum(d**j for d in _divisors(n))
-
-
-def eisenstein_series(k: int, prec: int) -> Series:
-    """E_4, E_6, or E_8 = E_4^2 (weight 8, level 1, one-dimensional space)."""
-    if k == 4:
-        return Series([1] + [240 * divisor_sigma(3, n) for n in range(1, prec)])
-    if k == 6:
-        return Series([1] + [-504 * divisor_sigma(5, n) for n in range(1, prec)])
-    if k == 8:
-        e4 = eisenstein_series(4, prec)
-        return e4 * e4
-    raise PreconditionError(f"eisenstein_series supports k in {{4, 6, 8}}, got {k}")
-
-
 def eta_power(d: int, prec: int) -> Series:
     """Coefficients a_d(0..prec-1) of the rescaled d-th eta power.
 
@@ -167,30 +128,6 @@ def eta_form(d: int, prec: int) -> FormExpansion:
     )
 
 
-def hecke_apply(f: FormExpansion, m: int) -> Series:
-    """Apply the m-th Hecke operator (double-sum formula).
-
-    Output coefficient at n is sum over delta | gcd(m, n) of
-    chi(delta) * delta^(k-1) * a(m*n / delta^2); result precision is
-    floor(prec / m).
-    """
-    if m < 1:
-        raise PreconditionError("hecke_apply requires m >= 1")
-    k = f.integer_weight()
-    a = f.series.coeff
-    out_prec = f.series.prec // m
-    out = []
-    for n in range(out_prec):
-        acc = 0
-        for delta in _divisors(gcd(m, n) if n else m):
-            chi = f.character_value(delta)
-            if chi == 0:
-                continue
-            acc = acc + chi * delta ** (k - 1) * a(m * n // (delta * delta))
-        out.append(acc)
-    return Series(out)
-
-
 def hecke_apply_prime(f: FormExpansion, ell: int) -> Series:
     """Prime-index collapse: a(ell*n) + chi(ell) * ell^(k-1) * a(n/ell)."""
     if not is_prime(ell):
@@ -206,79 +143,6 @@ def hecke_apply_prime(f: FormExpansion, ell: int) -> Series:
             val = val + chi * ell ** (k - 1) * a(n // ell)
         out.append(val)
     return Series(out)
-
-
-def eigenform_violations(f: FormExpansion, prec: int | None = None) -> list[tuple[int, int]]:
-    """All (n, ell) with n*ell < prec violating a(n)a(ell) = a(n*ell) + chi(ell)ell^(k-1)a(n/ell).
-
-    Empty iff the expansion looks like a normalized Hecke eigenform up to
-    the scan bound.  A form with a(1) = 0 is scanned as-is (the n = 1 rows
-    expose the failure); any other a(1) != 1 raises NotNormalizedError.
-    """
-    scan = f.series.prec if prec is None else min(prec, f.series.prec)
-    k = f.integer_weight()
-    a = f.series.coeff
-    if scan > 1 and a(1) not in (0, 1):
-        raise NotNormalizedError(f"a(1) = {a(1)}; normalize the form first")
-    violations = []
-    for ell in primes_below(scan):
-        chi = f.character_value(ell)
-        a_ell = a(ell)
-        factor = chi * ell ** (k - 1)
-        for n in range(1, (scan - 1) // ell + 1):
-            rhs = a(n * ell)
-            if factor != 0 and n % ell == 0:
-                rhs = rhs + factor * a(n // ell)
-            if a(n) * a_ell != rhs:
-                violations.append((n, ell))
-    return violations
-
-
-def normalize_leading(f: Series) -> Series:
-    """Divide by the first nonzero coefficient."""
-    for c in f.coeffs:
-        if c != 0:
-            return f.scale(Fraction(1) / c)
-    return f
-
-
-def _sub12(f: Series, prec: int) -> Series:
-    return substitute_power(f, 12).truncate(prec)
-
-
-def serre_components(d: int, prec: int) -> list[Series]:
-    """The bracketed eigenform combinations for the composite eta powers.
-
-    d = 10: two combinations E4(12t)*eta(12t)^2 +- 48*eta(12t)^10 over the
-    rationals; d = 14: two combinations with 360*sqrt(-3)*eta(12t)^14;
-    d = 26: four combinations mixing eta^26, E6*eta^14, and E8*eta^10.
-    Raw combinations are returned; use normalize_leading for a(1) = 1.
-    """
-    if d not in (10, 14, 26):
-        raise PreconditionError(f"serre_components supports d in {{10, 14, 26}}, got {d}")
-    e_prec = (prec + 11) // 12
-    eta2 = eta_power(2, prec)
-    if d == 10:
-        base = _sub12(eisenstein_series(4, e_prec), prec) * eta2
-        eta10 = eta_power(10, prec)
-        return [base + eta10.scale(48), base - eta10.scale(48)]
-    if d == 14:
-        base = _sub12(eisenstein_series(6, e_prec), prec) * eta2
-        swing = eta_power(14, prec).scale(QuadRational(0, 360))
-        return [base + swing, base - swing]
-    e6_12 = _sub12(eisenstein_series(6, e_prec), prec)
-    base = e6_12 * e6_12 * eta2
-    eta26 = eta_power(26, prec)
-    plus = eta26.scale(9398592)
-    minus = eta26.scale(6910272)
-    swing_a = (e6_12 * eta_power(14, prec)).scale(QuadRational(0, 102960))
-    swing_b = (_sub12(eisenstein_series(8, e_prec), prec) * eta_power(10, prec)).scale(20592)
-    return [
-        base + plus + swing_a,
-        base + plus - swing_a,
-        base - minus + swing_b,
-        base - minus - swing_b,
-    ]
 
 
 def a2_prime_power_iter(ell: int, v: int) -> Iterator[int]:

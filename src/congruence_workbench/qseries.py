@@ -2,10 +2,10 @@
 
 A :class:`Series` is a tuple of dense coefficients for exponents
 0..prec-1; prec is the tuple's length.
-Coefficients may be plain ints, ``fractions.Fraction`` values, or
-:class:`~congruence_workbench.arith.QuadRational`; all operations are
-exact.  Binary operations truncate to the shorter operand, and nothing
-ever pads precision with fabricated zeros.
+Coefficients are plain ints or ``fractions.Fraction`` values (the
+arithmetic works over any exact ring); all operations are exact.
+Binary operations truncate to the shorter operand, and nothing ever
+pads precision with fabricated zeros.
 
 The two entry points that matter most are :func:`euler_product`, the
 sparse pentagonal-number expansion of (q^M; q^M)_inf, and
@@ -45,13 +45,8 @@ from operator import index
 from .arith import (
     NotLIntegralError,
     PreconditionError,
-    QuadRational,
     as_rational,
-    format_quad,
-    format_rational,
     padic_ord,
-    parse_quad,
-    parse_rational,
     reduce_mod_prime_power,
 )
 
@@ -59,9 +54,7 @@ __all__ = [
     "Series",
     "euler_product",
     "extract_progression",
-    "format_series_text",
     "frac_partition_series",
-    "parse_series_text",
     "series_pow_int",
     "series_pow_numerators",
     "series_pow_pairs",
@@ -348,40 +341,4 @@ def series_reduce_mod(f: Series, ell: int, k: int, denominator: int = 1) -> Seri
         if rest:
             raise NotLIntegralError(f"coefficient at exponent {n} is not {ell}-integral", index=n)
         out.append(c * inverse % mod)
-    return Series(out)
-
-
-def _format_coefficient(c) -> str:
-    if isinstance(c, QuadRational):
-        return format_quad(c)
-    return format_rational(c)
-
-
-def format_series_text(f: Series) -> str:
-    """Golden-file text format: header plus one nonzero coefficient per line."""
-    lines = [f"# prec={f.prec}"]
-    for n, c in f.nonzero_items():
-        lines.append(f"{n}\t{_format_coefficient(c)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_series_text(text: str) -> Series:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# prec="):
-        raise ValueError("series text must start with a '# prec=<N>' header")
-    prec = int(lines[0].split("=", 1)[1])
-    out = [0] * prec
-    last = -1
-    for ln in lines[1:]:
-        n_s, _, coeff_s = ln.partition("\t")
-        n = int(n_s)
-        if not 0 <= n < prec:
-            raise ValueError(f"exponent {n} outside [0, {prec})")
-        if n <= last:
-            raise ValueError("exponents must be strictly ascending")
-        last = n
-        if "sqrt(-3)" in coeff_s:
-            out[n] = parse_quad(coeff_s)
-        else:
-            out[n] = parse_rational(coeff_s)
     return Series(out)

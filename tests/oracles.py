@@ -8,6 +8,7 @@ recomputed from scratch.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from congruence_workbench.arith import PreconditionError, as_rational, padic_ord
 from congruence_workbench.congruence import (
@@ -131,6 +132,18 @@ def find_w_by_search(ell: int, v: int) -> int:
         if next(it) == 0:
             return w
     raise AssertionError(f"no zero of a_2({ell}^w) mod {ell}^{v} below the period bound {bound}")
+
+
+def primes_below(limit: int) -> list[int]:
+    """All primes < limit, by sieve."""
+    if limit <= 2:
+        return []
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    return [i for i in range(limit) if flags[i]]
 
 
 def squares_mod(p: int) -> set[int]:

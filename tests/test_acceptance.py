@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from congruence_workbench.arith import QuadRational, padic_ord, primes_below
+from congruence_workbench.arith import padic_ord
 from congruence_workbench.congruence import (
     ClaimFamily,
     CongruenceClaim,
@@ -29,11 +29,8 @@ from congruence_workbench.congruence import (
 )
 from congruence_workbench.forms import (
     a2_prime_power_sequence,
-    eigenform_violations,
     eta_form,
     eta_power,
-    normalize_leading,
-    serre_components,
 )
 from congruence_workbench.qseries import (
     euler_product,
@@ -41,7 +38,8 @@ from congruence_workbench.qseries import (
     series_pow_rational,
 )
 
-from oracles import expected_denominator, naive_euler_product, partition_counts
+from eigenforms import QuadRational, eigenform_violations, normalize_leading, serre_components
+from oracles import expected_denominator, naive_euler_product, partition_counts, primes_below
 
 
 @contextmanager

@@ -7,22 +7,19 @@ from congruence_workbench.arith import (
     INFINITY,
     NotLIntegralError,
     PreconditionError,
-    QuadRational,
-    chi_eta,
-    format_quad,
+    eta_character_numerator,
     format_rational,
     is_prime,
     kronecker_symbol,
     legendre_symbol,
     padic_ord,
-    parse_quad,
     parse_rational,
-    primes_below,
     reduce_mod_prime_power,
 )
 from congruence_workbench.forms import eta_form
 
-from oracles import euler_criterion, squares_mod
+from eigenforms import QuadRational
+from oracles import euler_criterion, primes_below, squares_mod
 
 
 class TestPadicOrd:
@@ -135,6 +132,11 @@ class TestKronecker:
                     assert kronecker_symbol(a, m1 * m2) == kronecker_symbol(
                         a, m1
                     ) * kronecker_symbol(a, m2)
+
+
+def chi_eta(d: int, m: int) -> int:
+    """The bare character of the d-th eta power at m: the table's Kronecker symbol."""
+    return kronecker_symbol(eta_character_numerator(d), m)
 
 
 class TestChiEta:
@@ -253,16 +255,6 @@ class TestSerialization:
             parse_rational("")
         with pytest.raises(ValueError):
             parse_rational("1/0")
-
-    def test_quad_roundtrip(self):
-        x = QuadRational(Fraction(0), Fraction(-360))
-        text = format_quad(x)
-        assert text == "0/1+-360/1*sqrt(-3)"
-        assert parse_quad(text) == x
-
-    def test_quad_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_quad("1/2")
 
 
 def test_is_prime_small():

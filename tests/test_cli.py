@@ -591,6 +591,10 @@ _REFUSED_FAST = {
     "mod-exponent": ("coeffs", "--alpha", "-1", "--n", "3", "--mod", "5^" + "1" * 100_000),
     "residues-size": ("residues", "--d", "2", "--ell", "13", "--ord", "200000", "--count", "5"),
     "mod-size": ("coeffs", "--alpha", "-1/8", "--n", "10", "--mod", "7^300000"),
+    # each power passes the 2^20-bit cap; together they overdraw the expression's budget
+    "expression-terms": ("find-w", "--ell", "13", "--v", "1+0*(" + "+".join(["7^349000"] * 200) + ")"),
+    "expression-factors": ("coeffs", "--alpha", "*".join(["(2^500000)"] * 512), "--n", "0"),
+    "expression-denominators": ("coeffs", "--alpha", "1/(7^349000)+1/(11^262000)", "--n", "0"),
 }
 
 

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from congruence_workbench.arith import INFINITY, PreconditionError, padic_ord, primes_below
+from congruence_workbench.arith import INFINITY, PreconditionError, padic_ord
 from congruence_workbench.congruence import (
     ClaimFamily,
     CongruenceClaim,
@@ -31,6 +31,7 @@ from congruence_workbench import qseries
 
 from oracles import (
     find_w_by_search,
+    primes_below,
     progression_fractions,
     sharpness_probe_by_fractions,
     verify_claim_by_fractions,
@@ -68,6 +69,42 @@ class TestChanWangCondition:
     def test_rejects_unknown_d(self):
         with pytest.raises(PreconditionError):
             chan_wang_condition(2, 5, 1)
+
+
+# The two hypotheses' inert-prime tables as they were written before they shared one helper.
+_SATISFACTORY = {
+    4: lambda ell: ell % 6 == 5,
+    8: lambda ell: ell % 6 == 5,
+    14: lambda ell: ell % 6 == 5 and ell != 5,
+    6: lambda ell: ell >= 7 and ell % 4 == 3,
+    10: lambda ell: ell >= 7 and ell % 4 == 3,
+    26: lambda ell: ell % 12 == 11 and ell != 11,
+}
+_CHAN_WANG = {
+    4: lambda ell: ell % 6 == 5,
+    8: lambda ell: ell % 6 == 5,
+    14: lambda ell: ell % 6 == 5,
+    6: lambda ell: ell >= 7 and ell % 4 == 3,
+    10: lambda ell: ell >= 7 and ell % 4 == 3,
+    26: lambda ell: ell % 12 == 11,
+}
+
+
+def test_inert_table_pins_both_hypotheses():
+    for d in (4, 6, 8, 10, 14, 26):
+        for ell in primes_below(200):
+            assert is_d_satisfactory(d, ell) == _SATISFACTORY[d](ell), (d, ell)
+            for r in range(ell):
+                expected = _CHAN_WANG[d](ell) and (24 * r + d) % ell == 0
+                assert chan_wang_condition(d, ell, r) == expected, (d, ell, r)
+    # they differ only at the remark pairs
+    differ = {
+        (d, ell)
+        for d in (4, 6, 8, 10, 14, 26)
+        for ell in primes_below(200)
+        if is_d_satisfactory(d, ell) != any(chan_wang_condition(d, ell, r) for r in range(ell))
+    }
+    assert differ == {(14, 5), (26, 11)}
 
 
 class TestBuilders:

@@ -4,30 +4,29 @@ from math import gcd
 
 import pytest
 
-from congruence_workbench.arith import (
-    PreconditionError,
-    QuadRational,
-    primes_below,
-)
+from congruence_workbench.arith import PreconditionError
 from congruence_workbench.congruence import is_d_satisfactory
 from congruence_workbench.forms import (
     EtaPowerSpec,
     FormExpansion,
-    NotNormalizedError,
     a2_prime_power_sequence,
-    divisor_sigma,
-    eigenform_violations,
-    eisenstein_series,
     eta_form,
     eta_power,
-    hecke_apply,
     hecke_apply_prime,
-    normalize_leading,
-    serre_components,
 )
 from congruence_workbench.qseries import Series, euler_product
 
-from oracles import naive_euler_product, naive_power
+from eigenforms import (
+    NotNormalizedError,
+    QuadRational,
+    divisor_sigma,
+    eigenform_violations,
+    eisenstein_series,
+    hecke_apply,
+    normalize_leading,
+    serre_components,
+)
+from oracles import naive_euler_product, naive_power, primes_below
 
 
 class TestDivisorSigma:

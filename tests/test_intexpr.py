@@ -61,6 +61,24 @@ def test_power_cap():
     assert evaluate_int("(-1)^(10^9+1)") == -1
 
 
+def test_intermediate_values_and_budget():
+    # each value is sized before it is built, so no step builds a number over the cap
+    with pytest.raises(ExpressionError, match="product of over 2\\^20 bits"):
+        evaluate_rational("(2^600000)*(2^600000)")
+    with pytest.raises(ExpressionError, match="quotient of over 2\\^20 bits"):
+        evaluate_rational("(2^600000)/(1/3^300000)")
+    # a sum's denominator of about 1.9 million bits is refused before any gcd runs
+    with pytest.raises(ExpressionError, match="cap"):
+        evaluate_rational("1/(7^349000)+1/(11^262000)")
+    # one power near the cap passes, with room for small arithmetic; two do not
+    assert evaluate_int("2^(2^19)+1") == 2 ** (2**19) + 1
+    assert evaluate_rational("(2^(2^19)+1)/3") == Fraction(2 ** (2**19) + 1, 3)
+    assert evaluate_int("7^349000") == 7**349000
+    for text in ("7^349000+7^349000", "1+0*(" + "+".join(["7^349000"] * 200) + ")"):
+        with pytest.raises(ExpressionError, match="bit\\^2, above the cap"):
+            evaluate_rational(text)
+
+
 def test_malformed():
     for bad in ("", "1+", "(1", "1)", "1**2", "a+1", "1 2"):
         with pytest.raises(ExpressionError):

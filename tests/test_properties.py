@@ -6,14 +6,12 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congruence_workbench.arith import NotLIntegralError, QuadRational, primes_below, reduce_mod_prime_power
+from congruence_workbench.arith import NotLIntegralError, reduce_mod_prime_power
 from congruence_workbench.congruence import find_w
 from congruence_workbench.intexpr import ExpressionError, evaluate_rational
 from congruence_workbench.qseries import (
     Series,
     euler_product,
-    format_series_text,
-    parse_series_text,
     series_pow_int,
     series_pow_numerators,
     series_pow_pairs,
@@ -21,7 +19,7 @@ from congruence_workbench.qseries import (
     series_reduce_mod,
 )
 
-from oracles import find_w_by_search
+from oracles import find_w_by_search, primes_below
 
 # -- intexpr against a direct Fraction evaluator ---------------------------
 
@@ -77,21 +75,6 @@ def test_intexpr_matches_direct_fraction_evaluation(tree):
             return
         raise AssertionError(f"{text!r} should be refused")
     assert evaluate_rational(text) == expected
-
-
-# -- series text format round trip -----------------------------------------
-
-_fractions = st.fractions(max_denominator=10**6)
-_coefficients = st.one_of(_fractions, st.builds(QuadRational, _fractions, _fractions))
-
-
-@given(st.lists(_coefficients, max_size=30))
-def test_series_text_round_trip(coeffs):
-    series = Series(coeffs)
-    text = format_series_text(series)
-    parsed = parse_series_text(text)
-    assert parsed == series
-    assert format_series_text(parsed) == text
 
 
 # -- closed-form find_w against the search ---------------------------------

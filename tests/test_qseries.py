@@ -9,9 +9,7 @@ from congruence_workbench.qseries import (
     Series,
     euler_product,
     extract_progression,
-    format_series_text,
     frac_partition_series,
-    parse_series_text,
     series_pow_int,
     series_pow_numerators,
     series_pow_pairs,
@@ -22,8 +20,8 @@ from congruence_workbench.qseries import (
 )
 
 from congruence_workbench import qseries
-from congruence_workbench.arith import QuadRational
 
+from eigenforms import QuadRational
 from oracles import (
     binomial_series_power,
     expected_denominator,
@@ -413,32 +411,6 @@ class TestDenominatorFormula:
         f = frac_partition_series(alpha, 41)
         for n in range(41):
             assert int(f.coeff(n).denominator) == expected_denominator(b, n)
-
-
-class TestTextFormat:
-    def test_roundtrip(self):
-        f = frac_partition_series(Fraction(-1, 8), 12)
-        text = format_series_text(f)
-        assert text.startswith("# prec=12\n")
-        g = parse_series_text(text)
-        assert g.prec == f.prec
-        assert all(g.coeff(n) == f.coeff(n) for n in range(f.prec))
-
-    def test_nonzero_lines_only(self):
-        f = euler_product(1, 8)
-        lines = format_series_text(f).strip().splitlines()
-        assert lines[1:] == ["0\t1/1", "1\t-1/1", "2\t-1/1", "5\t1/1", "7\t1/1"]
-
-    def test_quad_coefficients_roundtrip(self):
-        from congruence_workbench.arith import QuadRational
-
-        f = Series([QuadRational(1, 0), QuadRational(0, Fraction(-360))])
-        g = parse_series_text(format_series_text(f))
-        assert all(g.coeff(n) == f.coeff(n) for n in range(2))
-
-    def test_rejects_missing_header(self):
-        with pytest.raises(ValueError):
-            parse_series_text("0\t1/1\n")
 
 
 def test_coeff_bounds():
