@@ -10,7 +10,6 @@ the commands run, plus the eta forms and their Hecke images at primes.
 __version__ = "0.1.0"
 
 from .arith import (
-    INFINITY,
     NotLIntegralError,
     PreconditionError,
     format_rational,
@@ -18,7 +17,6 @@ from .arith import (
     kronecker_symbol,
     legendre_symbol,
     padic_ord,
-    parse_rational,
     reduce_mod_prime_power,
 )
 from .congruence import (
@@ -56,8 +54,6 @@ from .qseries import (
     series_pow_numerators,
     series_pow_rational,
     series_reduce_mod,
-    series_shift,
-    substitute_power,
 )
 
 __all__ = [
@@ -66,7 +62,6 @@ __all__ = [
     "EtaPowerSpec",
     "FormExpansion",
     "HypothesisError",
-    "INFINITY",
     "NotLIntegralError",
     "PreconditionError",
     "Series",
@@ -94,14 +89,11 @@ __all__ = [
     "kronecker_symbol",
     "legendre_symbol",
     "padic_ord",
-    "parse_rational",
     "reduce_mod_prime_power",
     "series_pow_int",
     "series_pow_numerators",
     "series_pow_rational",
     "series_reduce_mod",
-    "series_shift",
     "sharpness_probe",
-    "substitute_power",
     "verify_claim",
 ]

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic.
 
 Rationals are ``fractions.Fraction`` (a plain int embeds into them).
-This module adds their text format, l-adic valuations with a proper
-infinity, canonical residues mod prime powers, quadratic-residue
+This module adds their text format, l-adic valuations of nonzero
+rationals, canonical residues mod prime powers, quadratic-residue
 symbols (Legendre / Jacobi / Kronecker) together with the eta-power
 character table, and a Miller-Rabin primality test that is exact below
 PRIME_TEST_BOUND.
@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "INFINITY",
     "MAX_POWER_BITS",
     "NotLIntegralError",
     "PRIME_TEST_BOUND",
@@ -26,7 +25,6 @@ __all__ = [
     "kronecker_symbol",
     "legendre_symbol",
     "padic_ord",
-    "parse_rational",
     "reduce_mod_prime_power",
 ]
 
@@ -40,19 +38,6 @@ MAX_POWER_BITS = 1 << 20
 def format_rational(x) -> str:
     """Serialize as ``"<numerator>/<denominator>"``, denominator >= 1."""
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"a/b"`` or ``"a"`` (decimal integers, optional sign)."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty rational literal")
-    num_s, sep, den_s = s.partition("/")
-    num = int(num_s)
-    den = int(den_s) if sep else 1
-    if den == 0:
-        raise ValueError(f"zero denominator in rational literal {text!r}")
-    return Fraction(num, den)
 
 
 def as_rational(value) -> Fraction:
@@ -79,45 +64,6 @@ def check_power_cap(base: int, exponent: int, what: str) -> None:
     if exponent * base.bit_length() > MAX_POWER_BITS:
         raise PreconditionError(f"{what} = {base}^{exponent} exceeds the {MAX_POWER_BITS}-bit cap")
 
-
-class _Infinity:
-    """Valuation of zero.  Compares greater than every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("congruence_workbench.INFINITY")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-INFINITY = _Infinity()
 
 #: psi_13, the least strong pseudoprime to the 13 witnesses 2..41: below
 #: it the Miller-Rabin test of :func:`is_prime` is exact (J. Sorenson and
@@ -170,8 +116,8 @@ def _int_ord(n: int, ell: int) -> int:
     return k
 
 
-def padic_ord(x, ell: int):
-    """l-adic valuation of a rational; INFINITY for x = 0.
+def padic_ord(x, ell: int) -> int:
+    """l-adic valuation of a nonzero rational; x = 0 raises PreconditionError.
 
     ord(num) - ord(den), so e.g. ord_7(-49/8) = 2 and ord_5(1/5) = -1.
     """
@@ -179,7 +125,7 @@ def padic_ord(x, ell: int):
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"padic_ord expects a rational, got {type(x).__name__}")
     if x == 0:
-        return INFINITY
+        raise PreconditionError("padic_ord is defined for nonzero rationals only")
     return _int_ord(x.numerator, ell) - _int_ord(x.denominator, ell)
 
 

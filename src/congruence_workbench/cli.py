@@ -12,12 +12,13 @@ of ``--mod L^K``, must be below ``arith.PRIME_TEST_BOUND`` in absolute
 value, so every primality answer is exact.  ``--max-prec`` caps the
 series precision of coeffs, eta, verify and sharpness, and the number
 of residues printed; their printed size is capped too.  A ``--out``
-file that cannot be written is a usage failure (exit 2).
+file or a stdout that cannot be written is a usage failure (exit 2).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -36,7 +37,7 @@ from .congruence import (
     sharpness_probe,
     verify_claim,
 )
-from .forms import eta_power
+from .forms import EtaPowerSpec, eta_power
 from .intexpr import ExpressionError, _quote, evaluate_int, evaluate_rational
 from .qseries import euler_product, frac_partition_series, series_pow_numerators, series_pow_pairs, series_reduce_mod
 
@@ -110,32 +111,37 @@ def _check_printed_size(count: int, ell: int, k: int):
 
 
 class _Output:
-    """Where a command's lines go: stdout, or ``--out FILE`` opened once, on first use."""
+    """Where a command's lines go: stdout, or ``--out FILE`` opened once, on first use.
+
+    Either failing to take a line is a usage failure (exit 2).
+    """
 
     def __init__(self, path: str | None):
         self.path = path
         self.file = None
 
     def emit(self, line: str):
-        if self.path is None:
-            print(line)
-            return
         try:
             if self.file is None:
-                self.file = open(self.path, "a", encoding="utf-8")
+                self.file = sys.stdout if self.path is None else open(self.path, "a", encoding="utf-8")
             self.file.write(line + "\n")
         except OSError as exc:
             raise self._unwritable(exc) from None
 
     def close(self):
+        """Close the file, or flush stdout so that a closed pipe fails here, not at interpreter exit."""
         if self.file is not None:
             try:
-                self.file.close()
+                self.file.flush() if self.path is None else self.file.close()
             except OSError as exc:
                 raise self._unwritable(exc) from None
 
     def _unwritable(self, exc: OSError) -> UsageError:
-        return UsageError(f"cannot write the --out file: {exc.strerror or exc}")
+        if self.path is not None:
+            return UsageError(f"cannot write the --out file: {exc.strerror or exc}")
+        # the interpreter flushes stdout again on exit; pointed at devnull, that flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return UsageError(f"cannot write to stdout: {exc.strerror or exc}")
 
 
 def _emit_values(args, items, fmt):
@@ -192,7 +198,22 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    _emit_values(args, eta_power(args.d, _series_prec(args)).nonzero_items(), format_rational)
+    """Refuse a power whose printed values would overdraw the budget of _check_printed_size.
+
+    a_d(M*n + t) = p_d(n) for the P = ceil((prec - t) / M) indices n < P below prec, and
+    |p_d(n)| <= p_{-d}(n) <= exp(pi * sqrt(2*d*n/3)), so bits(p_d(n))^2 <= 13.7*d*n.
+    Charged at 14*d*n each, they cost 7*d*P*(P - 1) bit^2, against MAX_POWER_BITS^2.
+    """
+    prec = _series_prec(args)
+    spec = EtaPowerSpec.for_power(args.d)
+    terms = max(-(-(prec - spec.t) // spec.M), 0)
+    cost = 7 * args.d * terms * (terms - 1)
+    if cost > MAX_POWER_BITS**2:
+        raise UsageError(
+            f"printing eta power {args.d} to n = {args.n} costs about 7 * {args.d} * {terms} * {terms - 1} = "
+            f"{cost} bit^2, above the cap {MAX_POWER_BITS}^2"
+        )
+    _emit_values(args, eta_power(args.d, prec).nonzero_items(), format_rational)
     return EXIT_OK
 
 

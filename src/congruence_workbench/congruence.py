@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from . import __version__ as _artifact_version
 from .arith import (
-    INFINITY,
     NotLIntegralError,
     PreconditionError,
     as_rational,
@@ -201,6 +200,9 @@ def chan_wang_condition(d: int, ell: int, r: int) -> bool:
         raise PreconditionError(f"{ell} is not prime")
     if r < 0:
         raise PreconditionError("r must be nonnegative")
+    if d in (1, 3) and ell == 2:
+        # p_1 and p_3 are +-1 and odd at the pentagonal and triangular numbers, of both parities
+        return False
     if d == 1:
         return legendre_symbol(24 * r + 1, ell) == -1
     if d == 3:
@@ -473,7 +475,7 @@ def certificate_record(report: VerificationReport) -> dict:
         record["counterexample"] = {
             "n": ce.n,
             "value": format_rational(ce.value),
-            "ord": ce.ord if ce.ord is not INFINITY else None,
+            "ord": ce.ord,
         }
     if report.note:
         record["note"] = report.note

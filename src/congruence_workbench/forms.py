@@ -5,7 +5,8 @@ q-exponents are integral: with g = gcd(d, 24), M = 24/g and t = d/g,
 the expansion is q^t * (q^M; q^M)_inf^d, whose coefficient at n we call
 a_d(n).  It is (q; q)_inf^d spread along q^M: a_d(M*n + t) = p_d(n), the
 same numbers the partition claims use for alpha = d, so the power comes
-from the one recurrence in ``qseries`` (with b = 1, in plain ints).
+from the one recurrence in ``qseries`` (with b = 1, in plain ints), and
+one slice assignment writes it into exponents t, t + M, ....
 
 Character evaluation: each form carries the numerator of a Kronecker
 symbol (or None for the principal character; eta powers read theirs from
@@ -32,13 +33,7 @@ from .arith import (
     is_prime,
     kronecker_symbol,
 )
-from .qseries import (
-    Series,
-    euler_product,
-    series_pow_int,
-    series_shift,
-    substitute_power,
-)
+from .qseries import Series, euler_product, series_pow_int
 
 __all__ = [
     "EtaPowerSpec",
@@ -107,13 +102,15 @@ def eta_power(d: int, prec: int) -> Series:
     a_d(M*n + t) = p_d(n), the coefficients of (q; q)_inf^d, and a_d is
     zero off that progression: the power is taken once, by the
     recurrence of ``series_pow_int``, on the unspread product with
-    P = ceil((prec - t) / M) terms, then spread along q^M and shifted by t.
+    P = ceil((prec - t) / M) terms, and written into exponents t, t + M,
+    ... with one slice, which has exactly P places below prec.
     """
     spec = EtaPowerSpec.for_power(d)
-    if prec <= spec.t:
-        return Series([0] * prec)
-    power = series_pow_int(euler_product(1, -(-(prec - spec.t) // spec.M)), d)
-    return series_shift(substitute_power(power, spec.M).truncate(prec - spec.t), spec.t)
+    out = [0] * prec
+    if prec > spec.t:
+        terms = -(-(prec - spec.t) // spec.M)
+        out[spec.t :: spec.M] = series_pow_int(euler_product(1, terms), d).coeffs
+    return Series(out)
 
 
 def eta_form(d: int, prec: int) -> FormExpansion:

@@ -5,7 +5,8 @@ A :class:`Series` is a tuple of dense coefficients for exponents
 Coefficients are plain ints or ``fractions.Fraction`` values (the
 arithmetic works over any exact ring); all operations are exact.
 Binary operations truncate to the shorter operand, and nothing ever
-pads precision with fabricated zeros.
+pads precision with fabricated zeros.  The one change of shape is
+:func:`extract_progression`, which reads a progression out of a series.
 
 The two entry points that matter most are :func:`euler_product`, the
 sparse pentagonal-number expansion of (q^M; q^M)_inf, and
@@ -60,8 +61,6 @@ __all__ = [
     "series_pow_pairs",
     "series_pow_rational",
     "series_reduce_mod",
-    "series_shift",
-    "substitute_power",
 ]
 
 
@@ -289,18 +288,6 @@ def frac_partition_series(alpha, prec: int) -> Series:
     return series_pow_rational(euler_product(1, prec), alpha)
 
 
-def substitute_power(f: Series, m: int) -> Series:
-    """q -> q^m; coefficient at m*n equals f(n), result prec = m*f.prec."""
-    if m < 1:
-        raise PreconditionError("substitute_power requires m >= 1")
-    if m == 1:
-        return f
-    out = [0] * (m * f.prec)
-    for n, c in enumerate(f.coeffs):
-        out[m * n] = c
-    return Series(out)
-
-
 def extract_progression(f: Series, m: int, c: int) -> Series:
     """Coefficients along the progression m*n + c, n = 0, 1, ..."""
     if m < 1:
@@ -308,15 +295,6 @@ def extract_progression(f: Series, m: int, c: int) -> Series:
     if not 0 <= c < m:
         raise PreconditionError(f"residue c = {c} must satisfy 0 <= c < m = {m}")
     return Series(f.coeffs[c::m])
-
-
-def series_shift(f: Series, t: int) -> Series:
-    """Multiply by q^t; precision grows by t."""
-    if t < 0:
-        raise PreconditionError("series_shift requires t >= 0")
-    if t == 0:
-        return f
-    return Series((0,) * t + f.coeffs)
 
 
 def series_reduce_mod(f: Series, ell: int, k: int, denominator: int = 1) -> Series:

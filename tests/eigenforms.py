@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from congruence_workbench.arith import PreconditionError, as_rational, format_rational
 from congruence_workbench.forms import FormExpansion, eta_power
-from congruence_workbench.qseries import Series, substitute_power
+from congruence_workbench.qseries import Series
 
 from oracles import primes_below
 
@@ -217,7 +217,10 @@ def normalize_leading(f: Series) -> Series:
 
 
 def _sub12(f: Series, prec: int) -> Series:
-    return substitute_power(f, 12).truncate(prec)
+    """f(q^12) to precision prec; f has ceil(prec / 12) coefficients."""
+    out = [0] * prec
+    out[::12] = f.coeffs
+    return Series(out)
 
 
 def serre_components(d: int, prec: int) -> list[Series]:

@@ -1,13 +1,16 @@
 import builtins
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import congruence_workbench
 from congruence_workbench import qseries
 from congruence_workbench.cli import main
 from congruence_workbench.qseries import euler_product
@@ -232,6 +235,12 @@ class TestVerify:
         assert code == 2
         assert "6-satisfactory" in err
 
+    @pytest.mark.parametrize("alpha, d", [("-1", "1"), ("1", "3")])
+    def test_cw_at_ell_2_exits_2(self, capsys, alpha, d):
+        code, out, err = run_cli(capsys, "verify", "--family", "cw", "--alpha", alpha, "--d", d, "--ell", "2", "--r", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: chan_wang_condition: ") and len(err.splitlines()) == 1
+
     def test_t3_builder_roundtrip_with_expressions(self, capsys):
         # hypothesis checks pass; the verification itself is beyond any
         # sane precision cap, so the run must refuse rather than attempt it
@@ -438,9 +447,14 @@ def _run_subprocess(args):
     )
 
 
+# Start-up probes run with -S: without site, no .pth file imports anything before the
+# program starts.  The package's parent directory is put on sys.path through PYTHONPATH.
+_NO_SITE = os.environ | {"PYTHONPATH": str(Path(congruence_workbench.__file__).resolve().parents[1])}
+
+
 def _imported_modules(*args):
-    """The modules ``python -X importtime <args>`` imports, read from its report on stderr."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, check=False)
+    """The modules ``python -S -X importtime <args>`` imports, read from its report on stderr."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], capture_output=True, env=_NO_SITE)
     assert proc.returncode == 0, proc.stderr
     return {
         line.rsplit("|", 1)[1].strip()
@@ -473,25 +487,36 @@ class TestDeterminism:
         # methods of each class by exec of generated source
         unwanted = {"dataclasses", "inspect"}
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, congruence_workbench.cli; print(*sys.modules)"],
+            [sys.executable, "-S", "-c", "import sys, congruence_workbench.cli; print(*sys.modules)"],
             capture_output=True,
-            check=False,
+            env=_NO_SITE,
         )
         assert proc.returncode == 0, proc.stderr
         imported = set(proc.stdout.decode().split())
         assert "congruence_workbench.cli" in imported
         assert unwanted.isdisjoint(imported)
         # argument parsing: argparse pulls in gettext, whose first message loads
-        # locale, and --version formatting loads textwrap; a site .pth file may
-        # import some of these before the program starts, so that is the baseline
+        # locale, and --version formatting loads textwrap
         parsing = {"argparse", "gettext", "locale", "textwrap"}
-        baseline = _imported_modules("-c", "pass")
         verify = ("verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4", "--nmax", "3")
         for argv in (("--version",), verify):
             imported = _imported_modules("-m", "congruence_workbench", *argv)
             assert "congruence_workbench.cli" in imported
             assert unwanted.isdisjoint(imported)
-            assert parsing.isdisjoint(imported - baseline), argv
+            assert parsing.isdisjoint(imported), argv
+
+    def test_closed_stdout_exits_2_with_one_line(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "congruence_workbench", "coeffs", "--alpha", "-1/8", "--n", "5000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"0\t1/1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err.startswith("error: cannot write to stdout") and len(err.splitlines()) == 1
 
     def test_version_names_fractions(self):
         proc = _run_subprocess(["--version"])
@@ -595,6 +620,9 @@ _REFUSED_FAST = {
     "expression-terms": ("find-w", "--ell", "13", "--v", "1+0*(" + "+".join(["7^349000"] * 200) + ")"),
     "expression-factors": ("coeffs", "--alpha", "*".join(["(2^500000)"] * 512), "--n", "0"),
     "expression-denominators": ("coeffs", "--alpha", "1/(7^349000)+1/(11^262000)", "--n", "0"),
+    # each below --max-prec; their printed values overdraw the bit^2 budget
+    "eta-power-size": ("eta", "--d", "2400", "--n", "20000"),
+    "eta-power-huge": ("eta", "--d", "24000", "--n", "49999"),
 }
 
 

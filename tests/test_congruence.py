@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from congruence_workbench.arith import INFINITY, PreconditionError, padic_ord
+from congruence_workbench.arith import PreconditionError, padic_ord
 from congruence_workbench.congruence import (
     ClaimFamily,
     CongruenceClaim,
@@ -69,6 +69,17 @@ class TestChanWangCondition:
     def test_rejects_unknown_d(self):
         with pytest.raises(PreconditionError):
             chan_wang_condition(2, 5, 1)
+
+    def test_ell_2_refuses_d1_and_d3(self):
+        # p_1 and p_3 have odd coefficients on both progressions 2n and 2n + 1
+        for d in (1, 3):
+            p_d = qseries.series_pow_int(qseries.euler_product(1, 20), d).coeffs
+            assert all(any(c % 2 for c in p_d[r::2]) for r in (0, 1))
+            assert not any(chan_wang_condition(d, 2, r) for r in range(4))
+        for alpha, d in ((-1, 1), (1, 3)):
+            with pytest.raises(HypothesisError) as excinfo:
+                build_cw_claim(alpha, d, 2, 0)
+            assert excinfo.value.hypothesis == "chan_wang_condition"
 
 
 # The two hypotheses' inert-prime tables as they were written before they shared one helper.
@@ -462,10 +473,10 @@ class TestClaimValue:
 
 def test_infinity_never_in_counterexample_ord():
     claim = build_cw_claim(-1, 4, 5, 4)
-    report = verify_claim(claim, 30)
-    record = certificate_record(report)
-    assert "counterexample" not in record
-    assert INFINITY > 0
+    assert "counterexample" not in certificate_record(verify_claim(claim, 30))
+    # a counterexample has a nonzero residue, so its value is nonzero and its ord an int
+    counterexample = certificate_record(verify_claim(_forced(claim, modulus_power=2), 30))["counterexample"]
+    assert type(counterexample["ord"]) is int and counterexample["value"] != "0/1"
 
 
 def _forced(claim, **changes):

@@ -14,7 +14,7 @@ from congruence_workbench.forms import (
     eta_power,
     hecke_apply_prime,
 )
-from congruence_workbench.qseries import Series, euler_product
+from congruence_workbench.qseries import Series, euler_product, series_pow_int
 
 from eigenforms import (
     NotNormalizedError,
@@ -101,10 +101,16 @@ class TestEtaPower:
                 assert all(type(c) is int for c in f.coeffs), (d, prec)
 
     def test_shift_of_squared_product(self):
-        from congruence_workbench.qseries import series_pow_int, series_shift
-
-        shifted = series_shift(series_pow_int(euler_product(12, 99), 2), 1)
-        assert shifted == eta_power(2, 100)
+        # for every d, not only 2; the reference powers (q^M; q^M)_inf itself,
+        # so nothing is spread along q^M, at precisions on both sides of t + k*M
+        for d in range(1, 27):
+            spec = EtaPowerSpec.for_power(d)
+            edges = [spec.t + k * spec.M for k in range(4)]
+            for prec in sorted({max(edge + step, 0) for edge in edges for step in (-1, 0, 1)} | {100}):
+                expected = (0,) * min(prec, spec.t)
+                if prec > spec.t:
+                    expected += series_pow_int(euler_product(spec.M, prec - spec.t), d).coeffs
+                assert eta_power(d, prec).coeffs == expected, (d, prec)
 
     def test_coprime_multiplicativity(self):
         for d in (2, 4, 6, 8, 12):

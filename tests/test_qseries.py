@@ -15,8 +15,6 @@ from congruence_workbench.qseries import (
     series_pow_pairs,
     series_pow_rational,
     series_reduce_mod,
-    series_shift,
-    substitute_power,
 )
 
 from congruence_workbench import qseries
@@ -315,17 +313,11 @@ class TestFracPartitionSeries:
 
 
 class TestSubstituteExtractShift:
-    def test_substitute_identity(self):
-        f = euler_product(1, 25)
-        assert substitute_power(f, 1) is f
-
     def test_substitute_matches_euler_product(self):
-        assert substitute_power(euler_product(1, 50), 6) == euler_product(6, 300)
-
-    def test_substitute_binomial(self):
-        assert substitute_power(series_from_ints([1, 1]), 3) == series_from_ints(
-            [1, 0, 0, 1, 0, 0]
-        )
+        # (q^6; q^6)_inf is (q; q)_inf with q -> q^6
+        f = euler_product(6, 300)
+        assert f.coeffs[::6] == euler_product(1, 50).coeffs
+        assert all(c == 0 for n, c in enumerate(f.coeffs) if n % 6)
 
     def test_extract_identity(self):
         f = euler_product(1, 25)
@@ -350,13 +342,6 @@ class TestSubstituteExtractShift:
     def test_extract_rejects_bad_residue(self):
         with pytest.raises(PreconditionError):
             extract_progression(euler_product(1, 10), 3, 3)
-
-    def test_shift(self):
-        f = euler_product(1, 10)
-        assert series_shift(f, 0) is f
-        q = series_shift(series_from_ints([1]), 1)
-        assert list(q.coeffs) == [0, 1]
-        assert series_shift(f, 2).prec == 12
 
 
 class TestReduceMod:
