@@ -13,10 +13,11 @@ ell^m for all n":
   modulus lowered by one resp. two powers.
 
 Builders validate every hypothesis eagerly and name the failed one;
-verifiers only scan coefficients: the power kernel's integer numerators
-over its common denominator.  They build a ``Fraction`` only for the one
-counterexample or witness value they report.  Verification is over a
-finite range and reports VERIFIED_IN_RANGE, never "proved".
+verifiers only scan the ell-adic kernel's residues, mod ell^m or, for
+sharpness, mod ell^(m+1).  They build a ``Fraction`` only for the one
+counterexample or witness value they report, from the exact kernel run
+to its index.  Verification is over a finite range and reports
+VERIFIED_IN_RANGE, never "proved".
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from .arith import (
     legendre_symbol,
     padic_ord,
 )
-from .qseries import (
-    euler_product,
+from .qseries import (  # series_reduce_mod stays bound here: perfbench/tracer.py patches it
     extract_progression,
     frac_partition_series,
-    series_pow_numerators,
+    series_pow_residues,
     series_reduce_mod,
 )
 
@@ -385,16 +385,16 @@ def required_precision(claim: CongruenceClaim, n_max: int) -> int:
     return claim.progression_modulus * n_max + claim.r + 1
 
 
-def _progression_values(claim: CongruenceClaim, n_max: int, max_precision: int | None):
-    """(N, D): the progression's int numerators and their common denominator."""
+def _progression_residues(claim: CongruenceClaim, n_max: int, k: int, max_precision: int | None):
+    """The progression's residues mod ell^k, from the ell-adic kernel; NotLIntegralError when ell | b."""
     prec = required_precision(claim, n_max)
     if max_precision is not None and prec > max_precision:
         raise PrecisionCapExceeded(
             f"verifying {claim.describe()} to n_max = {n_max} needs series precision "
             f"{prec}, above the cap {max_precision}"
         )
-    numerators, denominator = series_pow_numerators(euler_product(1, prec), claim.alpha)
-    return extract_progression(numerators, claim.progression_modulus, claim.r), denominator
+    residues = series_pow_residues(claim.alpha, claim.ell, k, prec)
+    return extract_progression(residues, claim.progression_modulus, claim.r)
 
 
 def _exact_value(claim: CongruenceClaim, n: int):
@@ -406,24 +406,21 @@ def _exact_value(claim: CongruenceClaim, n: int):
 def verify_claim(
     claim: CongruenceClaim, n_max: int, max_precision: int | None = None
 ) -> VerificationReport:
-    """Check the claim for 0 <= n <= n_max against the exact expansion.
+    """Check the claim for 0 <= n <= n_max by the ell-adic kernel's residues mod ell^modulus_power.
 
-    The check reads the kernel's int numerators N(n) mod ell^modulus_power
-    over the common denominator D, an ell-unit for every claim a builder
-    accepts.  The first failing n (if any) is reported with the exact
-    coefficient and its ell-adic ord; that value is the only Fraction
-    built.  A non-ell-integral coefficient turns into PRECONDITION_FAILED
-    rather than an exception.
+    The first failing n (if any) is reported with the exact coefficient
+    and its ell-adic ord, the only Fraction built.  When ell divides the
+    denominator of alpha, which no builder accepts, every coefficient past
+    the constant term has a negative ord, so the first one read turns into
+    PRECONDITION_FAILED rather than an exception.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
-    values, denominator = _progression_values(claim, n_max, max_precision)
     try:
-        residues = series_reduce_mod(values, claim.ell, claim.modulus_power, denominator)
-    except NotLIntegralError as exc:
-        return VerificationReport(
-            claim, n_max, VerificationStatus.PRECONDITION_FAILED, note=str(exc)
-        )
+        residues = _progression_residues(claim, n_max, claim.modulus_power, max_precision)
+    except NotLIntegralError:  # ell | b: the first n read with ell^e * n + r >= 1 fails
+        note = f"coefficient at exponent {0 if claim.r else 1} is not {claim.ell}-integral"
+        return VerificationReport(claim, n_max, VerificationStatus.PRECONDITION_FAILED, note=note)
     for n, residue in enumerate(residues.coeffs):
         if residue != 0:
             value = _exact_value(claim, n)
@@ -443,15 +440,19 @@ def sharpness_probe(
 
     Such a witness shows the modulus exponent cannot be raised.  None
     means inconclusive: absence of a witness in range proves nothing.
-    The ord is read as ord_ell(N(n)) - ord_ell(D) on ints; only the
-    witness's value is built as a Fraction.
+    The ord is exactly m = modulus_power when the residue mod ell^(m+1) is
+    nonzero and divisible by ell^m; only the witness's value is built as a
+    Fraction.  When ell divides the denominator of alpha, no ord is positive.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
-    values, denominator = _progression_values(claim, n_max, max_precision)
-    shift = padic_ord(denominator, claim.ell)
-    for n, numerator in enumerate(values.coeffs):
-        if numerator != 0 and padic_ord(numerator, claim.ell) - shift == claim.modulus_power:
+    try:
+        residues = _progression_residues(claim, n_max, claim.modulus_power + 1, max_precision)
+    except NotLIntegralError:
+        return None
+    mod = claim.ell**claim.modulus_power
+    for n, residue in enumerate(residues.coeffs):
+        if residue and residue % mod == 0:
             return SharpnessWitness(n=n, value=_exact_value(claim, n))
     return None
 

@@ -23,9 +23,7 @@ D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
 :func:`series_pow_numerators` returns that output as it is, the int
-numerators and D.  Checks read those: :func:`series_reduce_mod` takes
-int numerators only and reduces N(n) * D^-1 mod ell^k with one
-multiplication each, so congruence checks build no ``Fraction``.
+numerators and D, and :func:`series_reduce_mod` reduces them mod ell^k.
 Exact values have one reduction path, :func:`series_pow_pairs`: it
 divides N(n) by D / D(n), the closed form above, and strips the factor
 left in common with gcds against b, never a gcd of two big ints unless
@@ -33,12 +31,17 @@ a shared prime power exceeds b.  It yields int pairs in lowest terms;
 ``coeffs`` prints them as they stream, and :func:`series_pow_rational`
 turns them into ``Fraction`` values at the API edge.  Input
 coefficients must be ``int``; any other raises TypeError.  This is the
-only power algorithm: :func:`series_pow_int` runs the same pass with
-b = 1, where the common denominator is 1, so the result is ints.
+only exact power algorithm: :func:`series_pow_int` runs the same pass
+with b = 1, where the common denominator is 1, so the result is ints.
+Residues come from the ell-adic kernel :func:`series_pow_residues`, a
+product of integer powers f(q^(ell^i))**c_i mod ell^k (lemma R), each by
+square-and-multiply with one int product per step (Kronecker
+substitution); congruence checks and ``coeffs --mod`` read it.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from operator import index
@@ -60,6 +63,7 @@ __all__ = [
     "series_pow_numerators",
     "series_pow_pairs",
     "series_pow_rational",
+    "series_pow_residues",
     "series_reduce_mod",
 ]
 
@@ -286,6 +290,60 @@ def series_pow_int(f: Series, e: int) -> Series:
 def frac_partition_series(alpha, prec: int) -> Series:
     """Coefficients of (q; q)_inf**alpha for exponents 0..prec-1."""
     return series_pow_rational(euler_product(1, prec), alpha)
+
+
+def _mul_mod(x: list, y: list, mod: int) -> list:
+    """The first len(x) coefficients of x*y mod ``mod``, for residue lists x and y of one length.
+
+    Kronecker substitution: each list is packed little-endian into one int, in slots wide enough for
+    a product coefficient, at most len(x) * (mod - 1)^2, so one int multiplication makes the product
+    with no carry between slots.  Slots of 1, 2, 4 or 8 bytes go through ``array`` and ``memoryview``.
+    """
+    size = len(x)
+    width = ((size * (mod - 1) ** 2).bit_length() + 7) // 8
+    code = "BHIIQQQQ"[width - 1] if width <= 8 and sys.byteorder == "little" else None
+    if code:
+        from array import array  # here, so that only a residue run pays for the import
+        width = array(code).itemsize
+        pack = lambda v: int.from_bytes(array(code, v), "little")
+    else:
+        pack = lambda v: int.from_bytes(b"".join([c.to_bytes(width, "little") for c in v]), "little")
+    product = pack(x) ** 2 if y is x else pack(x) * pack(y)
+    data = (product & (1 << 8 * size * width) - 1).to_bytes(size * width, "little")
+    if code:
+        return [c % mod for c in memoryview(data).cast(code)]
+    return [int.from_bytes(data[i : i + width], "little") % mod for i in range(0, size * width, width)]
+
+
+def _power_residues(alpha, ell: int, k: int, size: int) -> list:
+    """f**alpha mod ell^k to size terms: f**c times the next level f(q^ell)**((alpha - c) / ell), c == alpha."""
+    mod, c = ell**k, reduce_mod_prime_power(alpha, ell, k)
+    base = [x % mod for x in euler_product(1, size).coeffs]
+    spread = [0] * size
+    spread[::ell] = _power_residues((alpha - c) / ell, ell, k, -(-size // ell)) if size > ell else [1]
+    power = base
+    for bit in bin(c)[3:]:
+        power = _mul_mod(power, power, mod)
+        if bit == "1":
+            power = _mul_mod(power, base, mod)
+    return _mul_mod(power, spread, mod) if c else spread
+
+
+def series_pow_residues(alpha, ell: int, k: int, prec: int) -> Series:
+    """Residues in [0, ell^k) of (q; q)_inf**alpha for exponents 0..prec-1; no exact coefficient is built.
+
+    For alpha = a/b with ell not dividing b, lemma R: f**alpha == f**c * f(q^ell)**((alpha - c) / ell)
+    (mod ell^k) for f = (q; q)_inf and c in [0, ell^k) with c == alpha, since f**(ell^k) ==
+    f(q^ell)**(ell^(k-1)).  Repeated, f**alpha is a product of powers f(q^(ell^i))**c_i, where level i
+    needs ceil(prec / ell^i) terms.  When ell divides b, ord_ell p_alpha(N) = -N*ord_ell(b) -
+    ord_ell(N!) < 0 for every N >= 1, so exponent 1 is refused unless prec is 1.
+    """
+    alpha = as_rational(alpha)
+    if padic_ord(alpha.denominator, ell):  # also refuses an ell that is not prime
+        if prec > 1:
+            raise NotLIntegralError(f"coefficient at exponent 1 is not {ell}-integral", index=1)
+        return euler_product(1, prec)
+    return Series(_power_residues(alpha, ell, k, prec))
 
 
 def extract_progression(f: Series, m: int, c: int) -> Series:

@@ -8,6 +8,7 @@ from congruence_workbench.arith import PreconditionError, padic_ord
 from congruence_workbench.congruence import (
     ClaimFamily,
     CongruenceClaim,
+    Counterexample,
     HypothesisError,
     PrecisionCapExceeded,
     VerificationStatus,
@@ -548,6 +549,24 @@ class TestChecksAgainstFractionOracle:
         report = self._assert_same(claim, 6, values)
         assert report.status is VerificationStatus.PRECONDITION_FAILED
         assert "is not" in report.note and "integral" in report.note
+
+    @pytest.mark.parametrize(
+        "alpha, ell", [(Fraction(1, 5), 5), (Fraction(-1, 8), 2), (Fraction(2, 9), 3), (Fraction(3, 49), 7)]
+    )
+    @pytest.mark.parametrize("e, r", [(1, 0), (1, 1), (2, 0), (2, 3)])
+    @pytest.mark.parametrize("n_max", [0, 1, 4])
+    def test_ell_dividing_b_matches_the_exact_path(self, alpha, ell, e, r, n_max):
+        # no kernel runs: every coefficient past the constant term has a negative ord
+        for power in (1, 2):
+            claim = _forced(build_cw_claim(-1, 4, 5, 4), alpha=alpha, ell=ell, e=e, r=r, modulus_power=power)
+            report = self._assert_same(claim, n_max, progression_fractions(claim, n_max))
+            assert sharpness_probe(claim, n_max) is None
+            if r == 0 and n_max == 0:
+                assert report.status is VerificationStatus.COUNTEREXAMPLE
+                assert report.counterexample == Counterexample(n=0, value=Fraction(1), ord=0)
+            else:
+                assert report.status is VerificationStatus.PRECONDITION_FAILED
+                assert report.note == f"coefficient at exponent {0 if r else 1} is not {ell}-integral"
 
     def test_sharpness_reads_ord_relative_to_the_denominator(self):
         # ell | b: the common denominator carries ell^t, so ord_ell(N(n)) runs

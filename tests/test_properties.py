@@ -16,6 +16,7 @@ from congruence_workbench.qseries import (
     series_pow_numerators,
     series_pow_pairs,
     series_pow_rational,
+    series_pow_residues,
     series_reduce_mod,
 )
 
@@ -171,3 +172,21 @@ def test_numerator_refusal_names_the_fraction_path_index(ell, alpha, k, prec):
     fractions = series_pow_rational(euler_product(1, prec), alpha)
     want = next((n for n, c in enumerate(fractions.coeffs) if c.denominator % ell == 0), None)
     assert _first_non_integral(lambda: series_reduce_mod(numerators, ell, k, denominator)) == want
+
+
+# -- the ell-adic kernel against the exact numerators ------------------------
+
+
+@settings(deadline=None)
+@given(_primes, _alphas, st.integers(1, 25), st.integers(1, 150))
+def test_residue_kernel_matches_exact_residues(ell, alpha, k, prec):
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
+    exact = lambda: series_reduce_mod(numerators, ell, k, denominator)
+    kernel = lambda: series_pow_residues(alpha, ell, k, prec)
+    if alpha.denominator % ell == 0:
+        # ell | b: both refuse at the same exponent, or both give the constant term alone
+        assert _first_non_integral(kernel) == _first_non_integral(exact)
+        if prec == 1:
+            assert kernel() == exact()
+    else:
+        assert kernel() == exact()

@@ -14,6 +14,7 @@ from congruence_workbench.qseries import (
     series_pow_numerators,
     series_pow_pairs,
     series_pow_rational,
+    series_pow_residues,
     series_reduce_mod,
 )
 
@@ -23,6 +24,7 @@ from eigenforms import QuadRational
 from oracles import (
     binomial_series_power,
     expected_denominator,
+    factorial_ord,
     naive_euler_product,
     naive_power,
     partition_counts,
@@ -367,6 +369,64 @@ class TestReduceMod:
         for f in (frac_partition_series(Fraction(-1, 8), 5), Series([1, QuadRational(0, 1)])):
             with pytest.raises(TypeError):
                 series_reduce_mod(f, 7, 1)
+
+
+def _exact_residues(alpha, ell, k, prec):
+    """The exact kernel's numerators reduced mod ell^k: the oracle of series_pow_residues."""
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
+    return series_reduce_mod(numerators, ell, k, denominator)
+
+
+class TestResidueKernel:
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 20])
+    def test_matches_exact_residues(self, ell, k):
+        # P on both sides of each power of ell up to 200, so every level count and level size edge
+        # is hit; k = 20 makes every slot wider than 64 bits
+        precs = {1, 2, 150} | {ell**i + s for i in (1, 2, 3) if ell**i < 200 for s in (-1, 0, 1)}
+        b = 9 if ell == 2 else 8
+        alphas = [0, -1, 6, Fraction(7 * ell, b), Fraction(-5, b), Fraction(-11 * ell, b), Fraction(ell**25 + 4, b)]
+        for alpha in alphas:
+            for prec in sorted(precs):
+                assert series_pow_residues(alpha, ell, k, prec) == _exact_residues(alpha, ell, k, prec), (alpha, prec)
+
+    def test_residues_are_canonical(self):
+        residues = series_pow_residues(Fraction(-1, 8), 7, 3, 400).coeffs
+        assert all(type(c) is int and 0 <= c < 343 for c in residues)
+        values = frac_partition_series(Fraction(-1, 8), 6).coeffs  # 1, 1/8, 17/128, ...
+        assert residues[:6] == tuple(c.numerator * pow(c.denominator, -1, 343) % 343 for c in values)
+
+    @pytest.mark.parametrize(
+        "alpha, ell",
+        [(Fraction(1, 2), 2), (Fraction(-1, 8), 2), (Fraction(3, 4), 2), (Fraction(1, 3), 3), (Fraction(-5, 9), 3),
+         (Fraction(2, 5), 5), (Fraction(1, 25), 5), (Fraction(7, 10), 5), (Fraction(1, 7), 7), (Fraction(-3, 14), 7)],
+    )
+    def test_ord_closed_form_when_ell_divides_b(self, alpha, ell):
+        # the j = N term of sum_j binom(alpha, j) * (f - 1)^j has the strictly smallest ord
+        values = frac_partition_series(alpha, 80)
+        v = padic_ord(alpha.denominator, ell)
+        for n in range(1, 80):
+            assert padic_ord(values.coeff(n), ell) == -n * v - factorial_ord(n, ell)
+
+    @pytest.mark.parametrize("alpha, ell, k", [(Fraction(1, 5), 5, 1), (Fraction(-1, 8), 2, 3), (Fraction(2, 63), 3, 4)])
+    def test_ell_dividing_b_refuses_like_the_exact_path(self, alpha, ell, k):
+        assert series_pow_residues(alpha, ell, k, 1) == _exact_residues(alpha, ell, k, 1) == Series([1])
+        for prec in (2, 3, 40):
+            with pytest.raises(NotLIntegralError) as want:
+                _exact_residues(alpha, ell, k, prec)
+            with pytest.raises(NotLIntegralError) as got:
+                series_pow_residues(alpha, ell, k, prec)
+            assert (str(got.value), got.value.index) == (str(want.value), want.value.index) == (
+                f"coefficient at exponent 1 is not {ell}-integral", 1
+            )
+
+    def test_refuses_what_the_exact_path_refuses(self):
+        with pytest.raises(PreconditionError, match="^valuation prime 4 is not prime$"):
+            series_pow_residues(Fraction(1, 3), 4, 1, 10)
+        with pytest.raises(PreconditionError, match="k >= 1"):
+            series_pow_residues(Fraction(1, 3), 5, 0, 10)
+        with pytest.raises(PreconditionError, match="prec >= 1"):
+            series_pow_residues(Fraction(1, 3), 5, 1, 0)
 
 
 class TestFrobeniusCongruence:
