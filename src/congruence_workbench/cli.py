@@ -39,8 +39,7 @@ from .congruence import (
 )
 from .forms import EtaPowerSpec, eta_power
 from .intexpr import ExpressionError, _quote, evaluate_int, evaluate_rational
-# series_reduce_mod stays bound here: perfbench/tracer.py patches it
-from .qseries import euler_product, frac_partition_series, series_pow_pairs, series_pow_residues, series_reduce_mod
+from .qseries import euler_product, frac_partition_series, series_pow_numerators, series_pow_pairs, series_reduce_mod
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -190,10 +189,11 @@ def cmd_coeffs(args) -> int:
         # lowest-terms pairs as they stream, with no Fraction and no gcd of two big ints
         _emit_values(args, enumerate(series_pow_pairs(euler_product(1, prec), alpha)), "%d/%d".__mod__)
         return EXIT_OK
-    # residues mod L^K from the ell-adic kernel, with no exact coefficient built
+    # residues N(n) * D^-1 mod L^K straight from the kernel's int numerators
     ell, k = _parse_mod(args.mod)
     _check_printed_size(prec, ell, k)
-    _emit_values(args, enumerate(series_pow_residues(alpha, ell, k, prec).coeffs), str)
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
+    _emit_values(args, enumerate(series_reduce_mod(numerators, ell, k, denominator).coeffs), str)
     return EXIT_OK
 
 

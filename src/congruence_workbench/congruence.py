@@ -418,8 +418,11 @@ def verify_claim(
         raise PreconditionError("n_max must be >= 0")
     try:
         residues = _progression_residues(claim, n_max, claim.modulus_power, max_precision)
-    except NotLIntegralError:  # ell | b: the first n read with ell^e * n + r >= 1 fails
-        note = f"coefficient at exponent {0 if claim.r else 1} is not {claim.ell}-integral"
+    except NotLIntegralError as exc:
+        # ell | b: the first n with ell^e * n + r >= exc.index fails.  The note keeps the wording of
+        # the exact path, which names that n and not its exponent, so recorded outputs stay the same.
+        n = max(0, -(-(exc.index - claim.r) // claim.progression_modulus))
+        note = f"coefficient at exponent {n} is not {claim.ell}-integral"
         return VerificationReport(claim, n_max, VerificationStatus.PRECONDITION_FAILED, note=note)
     for n, residue in enumerate(residues.coeffs):
         if residue != 0:

@@ -538,6 +538,15 @@ class TestChecksAgainstFractionOracle:
         if sharpness_probe_by_fractions(claim, n_max, values) is not None:
             assert raised_report.status is VerificationStatus.COUNTEREXAMPLE
 
+    @pytest.mark.parametrize("m", [10, 30, 100])
+    @pytest.mark.parametrize("y", [1, Fraction(1, 8), -3])
+    def test_t1_claim_at_large_modulus_power(self, m, y):
+        # sharpness reads mod 7^(m+1), where alpha mod 7^(m+1) has about (m+1)*log2(7) bits
+        claim = build_t1_claim(6 + 7**m * y, 6, 7, 5)
+        values = progression_fractions(claim, 3)
+        assert self._assert_same(claim, 3, values).status is VerificationStatus.VERIFIED_IN_RANGE
+        self._assert_same(_forced(claim, modulus_power=m + 1), 3, values)
+
     @pytest.mark.parametrize(
         "alpha, ell, e, r",
         [(Fraction(1, 5), 5, 1, 3), (Fraction(1, 5), 5, 1, 0), (Fraction(2, 7), 7, 1, 0), (Fraction(-3, 5), 5, 2, 4)],

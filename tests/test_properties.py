@@ -178,7 +178,7 @@ def test_numerator_refusal_names_the_fraction_path_index(ell, alpha, k, prec):
 
 
 @settings(deadline=None)
-@given(_primes, _alphas, st.integers(1, 25), st.integers(1, 150))
+@given(_primes, _alphas, st.integers(1, 60), st.integers(1, 150))
 def test_residue_kernel_matches_exact_residues(ell, alpha, k, prec):
     numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
     exact = lambda: series_reduce_mod(numerators, ell, k, denominator)

@@ -390,6 +390,17 @@ class TestResidueKernel:
             for prec in sorted(precs):
                 assert series_pow_residues(alpha, ell, k, prec) == _exact_residues(alpha, ell, k, prec), (alpha, prec)
 
+    @pytest.mark.parametrize("ell", [2, 3, 7])
+    @pytest.mark.parametrize("k", [30, 100])
+    def test_matches_exact_residues_at_large_k(self, ell, k):
+        # 6 + ell^v * y puts ord_ell of each level's g on both sides of k - 1, below which the
+        # binomial sum for T**g has terms past t = 0; a generic alpha needs about k of them
+        b = 9 if ell == 2 else 8
+        alphas = [Fraction(-5, b), Fraction(ell ** (k // 2), b)] + [6 + ell**v * y for v in (k - 2, k - 1, k, k + 1) for y in (1, Fraction(-3, b))]
+        for alpha in alphas:
+            for prec in (1, 2, ell, ell + 1, 60):
+                assert series_pow_residues(alpha, ell, k, prec) == _exact_residues(alpha, ell, k, prec), (alpha, prec)
+
     def test_residues_are_canonical(self):
         residues = series_pow_residues(Fraction(-1, 8), 7, 3, 400).coeffs
         assert all(type(c) is int and 0 <= c < 343 for c in residues)
