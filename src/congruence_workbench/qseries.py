@@ -23,7 +23,9 @@ D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
 :func:`series_pow_numerators` returns that output as it is, the int
-numerators and D, and :func:`series_reduce_mod` reduces them mod ell^k.
+numerators and D.  ``coeffs --mod`` reads those: :func:`series_reduce_mod`
+takes int numerators only and reduces N(n) * D^-1 mod ell^k with one
+multiplication each, so it builds no ``Fraction``.
 Exact values have one reduction path, :func:`series_pow_pairs`: it
 divides N(n) by D / D(n), the closed form above, and strips the factor
 left in common with gcds against b, never a gcd of two big ints unless
@@ -37,8 +39,7 @@ Residues come from the ell-adic kernel :func:`series_pow_residues`:
 f**alpha = f**a * f(q^ell)**g * T**g with f**ell = f(q^ell) * T, one
 level per power of ell, and T**g a binomial sum mod ell^k that is empty
 past t = 0 when ell^(k-1) divides g (lemma R).  Each product is one int
-multiplication (Kronecker substitution); congruence checks and
-``coeffs --mod`` read it.
+multiplication (Kronecker substitution); congruence checks read it.
 """
 
 from __future__ import annotations
