@@ -301,7 +301,7 @@ def _mul_mod(x: list, y: list, mod: int) -> list:
     Kronecker substitution: each list is packed little-endian into one int, in slots wide enough for
     a product coefficient, at most len(x) * (mod - 1)^2, so one int multiplication makes the product
     with no carry between slots.  Slots of 1, 2, 4 or 8 bytes go through ``array`` and ``memoryview``:
-    at 986 terms mod 7^3 their packing and unpacking took 50 us against 350 us for ``int.from_bytes``.
+    at 986 terms mod 7^3 (CPython 3.11, x86-64) they packed and unpacked in 50 us, ``int.from_bytes`` in 350 us.
     """
     size = len(x)
     width = ((size * (mod - 1) ** 2).bit_length() + 7) // 8

@@ -69,6 +69,12 @@ class TestCoeffs:
         assert code == 2 and out == ""
         assert err == "error: coefficient at exponent 1 is not 5-integral\n"
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_mod_when_ell_divides_b(self, capsys, n):
+        # only the constant term of (q;q)_inf^(-1/8) is 2-integral
+        want = (0, "0\t1\n", "") if n == 0 else (2, "", "error: coefficient at exponent 1 is not 2-integral\n")
+        assert run_cli(capsys, "coeffs", "--alpha", "-1/8", "--n", str(n), "--mod", "2^3") == want
+
     @pytest.mark.parametrize("alpha, mod", [("-1/8", "7^3"), ("1/13", "5^2"), ("97/8", "3"), ("-7/30", "11^2")])
     def test_mod_matches_fraction_residues(self, capsys, alpha, mod):
         code, out, _ = run_cli(capsys, "coeffs", "--alpha", alpha, "--n", "120", "--mod", mod)
