@@ -4,7 +4,7 @@ Computes coefficients of (q;q)_inf^alpha and of Dedekind-eta powers in
 exact rational arithmetic, verifies prime-power congruence claims over
 coefficient ranges, searches for the parameters those claims need, and
 probes modulus sharpness.  No floating point anywhere.  The API is what
-the commands run, plus the eta forms and their Hecke images at primes.
+the commands run.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ from .arith import (
     PreconditionError,
     format_rational,
     is_prime,
-    kronecker_symbol,
     legendre_symbol,
     padic_ord,
     reduce_mod_prime_power,
@@ -38,13 +37,7 @@ from .congruence import (
     sharpness_probe,
     verify_claim,
 )
-from .forms import (
-    EtaPowerSpec,
-    FormExpansion,
-    a2_prime_power_sequence,
-    eta_form,
-    eta_power,
-)
+from .forms import EtaPowerSpec, eta_power
 from .qseries import (
     Series,
     euler_product,
@@ -60,7 +53,6 @@ __all__ = [
     "ClaimFamily",
     "CongruenceClaim",
     "EtaPowerSpec",
-    "FormExpansion",
     "HypothesisError",
     "NotLIntegralError",
     "PreconditionError",
@@ -68,7 +60,6 @@ __all__ = [
     "VerificationReport",
     "VerificationStatus",
     "__version__",
-    "a2_prime_power_sequence",
     "build_cw_claim",
     "build_remark_claim",
     "build_t1_claim",
@@ -76,7 +67,6 @@ __all__ = [
     "build_t3_claim",
     "certificate_line",
     "chan_wang_condition",
-    "eta_form",
     "eta_power",
     "euler_product",
     "extract_progression",
@@ -86,7 +76,6 @@ __all__ = [
     "frac_partition_series",
     "is_d_satisfactory",
     "is_prime",
-    "kronecker_symbol",
     "legendre_symbol",
     "padic_ord",
     "reduce_mod_prime_power",

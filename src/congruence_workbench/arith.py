@@ -2,9 +2,8 @@
 
 Rationals are ``fractions.Fraction`` (a plain int embeds into them).
 This module adds their text format, l-adic valuations of nonzero
-rationals, canonical residues mod prime powers, quadratic-residue
-symbols (Legendre / Jacobi / Kronecker) together with the eta-power
-character table, and a Miller-Rabin primality test that is exact below
+rationals, canonical residues mod prime powers, the Legendre symbol by
+Euler's criterion, and a Miller-Rabin primality test that is exact below
 PRIME_TEST_BOUND.
 """
 
@@ -19,10 +18,8 @@ __all__ = [
     "PreconditionError",
     "as_rational",
     "check_power_cap",
-    "eta_character_numerator",
     "format_rational",
     "is_prime",
-    "kronecker_symbol",
     "legendre_symbol",
     "padic_ord",
     "reduce_mod_prime_power",
@@ -129,56 +126,12 @@ def padic_ord(x, ell: int) -> int:
     return _int_ord(x.numerator, ell) - _int_ord(x.denominator, ell)
 
 
-def kronecker_symbol(a: int, m: int) -> int:
-    """Kronecker symbol (a/m), the full extension of the Jacobi symbol.
-
-    Conventions: (a/2) is 0 for even a and +-1 by a mod 8; (a/-1) is the
-    sign of a; (a/1) = 1.  m = 0 is rejected.
-    """
-    if m == 0:
-        raise PreconditionError("kronecker_symbol requires m != 0")
-    result = 1
-    if m < 0:
-        m = -m
-        if a < 0:
-            result = -1
-    while m % 2 == 0:
-        m //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    # Jacobi symbol for odd positive m via quadratic reciprocity.
-    a %= m
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if m % 8 in (3, 5):
-                result = -result
-        a, m = m, a
-        if a % 4 == 3 and m % 4 == 3:
-            result = -result
-        a %= m
-    return result if m == 1 else 0
-
-
 def legendre_symbol(a: int, ell: int) -> int:
-    """Legendre symbol (a/ell) for an odd prime ell."""
+    """Legendre symbol (a/ell) for an odd prime ell, by Euler's criterion: a^((ell-1)/2) mod ell."""
     if ell == 2 or not is_prime(ell):
         raise PreconditionError(f"legendre_symbol requires an odd prime, got {ell}")
-    return kronecker_symbol(a, ell)
-
-
-def eta_character_numerator(d: int) -> int:
-    """The eta-power character table: the numerator a of the Kronecker symbol (a/.) for d.
-
-    Even d: (-1)^(d/2).  Odd d coprime to 6: 12.  Odd multiples of 3: -4.
-    """
-    if d % 2 == 0:
-        return -1 if (d // 2) % 2 else 1
-    if d % 3 == 0:
-        return -4
-    return 12
+    r = pow(a, (ell - 1) // 2, ell)
+    return -1 if r == ell - 1 else r
 
 
 def reduce_mod_prime_power(x, ell: int, k: int) -> int:

@@ -11,8 +11,11 @@ or the same expression syntax.  Integer flags but ``--r``, and L and K
 of ``--mod L^K``, must be below ``arith.PRIME_TEST_BOUND`` in absolute
 value, so every primality answer is exact.  ``--max-prec`` caps the
 series precision of coeffs, eta, verify and sharpness, and the number
-of residues printed; their printed size is capped too.  A ``--out``
-file or a stdout that cannot be written is a usage failure (exit 2).
+of residues printed.  Their printed size is capped too: residues, eta
+values and exact coeffs values are each charged bits^2 per printed
+number, and a run whose charge passes MAX_POWER_BITS^2 is refused before
+it prints.  A ``--out`` file or a stdout that cannot be written is a
+usage failure (exit 2).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import isqrt
 from types import SimpleNamespace
 
 from . import __version__
@@ -39,7 +43,14 @@ from .congruence import (
 )
 from .forms import EtaPowerSpec, eta_power
 from .intexpr import ExpressionError, _quote, evaluate_int, evaluate_rational
-from .qseries import euler_product, frac_partition_series, series_pow_numerators, series_pow_pairs, series_reduce_mod
+from .qseries import (
+    _multiplier,
+    euler_product,
+    frac_partition_series,
+    series_pow_numerators,
+    series_pow_pairs,
+    series_reduce_mod,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -108,6 +119,34 @@ def _check_printed_size(count: int, ell: int, k: int):
             f"printing {count} residues mod {ell}^{k} costs about {count} * {bits}^2 = "
             f"{count * bits * bits} bit^2, above the cap {MAX_POWER_BITS}^2"
         )
+
+
+def _check_exact_size(alpha, prec: int):
+    """Refuse printing p_alpha(0..prec-1) exactly when the pairs' bits^2 overdraw MAX_POWER_BITS^2.
+
+    In lowest terms p_alpha(n) has the denominator D(n) = b^n * prod_{p | b} p^ord_p(n!) for
+    alpha = a/b, built here one _multiplier(n, b) at a time.  With x = max(ceil(|alpha|), 1),
+    |p_alpha(n)| <= p_{-x}(n) <= min(x^n * p(n), exp(pi * sqrt(2xn/3))), so log2 |p_alpha(n)| is at
+    most n*bits(x - 1) + sqrt(13.7*n) and at most sqrt(13.7*x*n).  Pair n is charged
+    bits(num)^2 + bits(den)^2 with bits(num) <= bits(D(n)) + log2 |p_alpha(n)| + 1, and the
+    run is refused as soon as the sum passes the budget of _check_printed_size.
+    """
+    b = alpha.denominator
+    x = max(-(-abs(alpha.numerator) // b), 1)
+    den, cost = 1, 0
+    for n in range(prec):
+        if n:
+            den *= _multiplier(n, b)
+        value = isqrt(137 * n // 10) + 1 + n * (x - 1).bit_length()
+        if 137 * x * n < 10 * value * value:  # the exp bound is the smaller one
+            value = isqrt(137 * x * n // 10) + 1
+        den_bits = den.bit_length()
+        cost += (den_bits + value + 1) ** 2 + den_bits**2
+        if cost > MAX_POWER_BITS**2:
+            raise UsageError(
+                f"printing p_alpha(0..{prec - 1}) exactly costs more than {cost} bit^2 (the values "
+                f"up to n = {n}), above the cap {MAX_POWER_BITS}^2"
+            )
 
 
 class _Output:
@@ -186,6 +225,7 @@ def cmd_coeffs(args) -> int:
     alpha = _parse_alpha(args.alpha)
     prec = _series_prec(args)
     if args.mod is None:
+        _check_exact_size(alpha, prec)
         # lowest-terms pairs as they stream, with no Fraction and no gcd of two big ints
         _emit_values(args, enumerate(series_pow_pairs(euler_product(1, prec), alpha)), "%d/%d".__mod__)
         return EXIT_OK

@@ -1,4 +1,25 @@
-"""Eigenform decompositions of the composite eta powers, kept as a test oracle.
+"""The eta forms, their Hecke images and eigenform decompositions, kept as a test oracle.
+
+No command computes with a form's weight, level or character, with a
+Hecke operator or with the a_2(ell^i) recursion (``find_w`` is a closed
+form), so they live here:
+
+* ``FormExpansion`` and ``eta_form``: the eta power of ``forms`` with
+  its weight d/2, level (24/gcd(d, 24))^2 and character;
+* ``hecke_apply_prime``, the prime-index collapse, and the double-sum
+  ``hecke_apply`` it is tested against;
+* the two-term recursion for a_2(ell^i) mod ell^v, seeded from
+  ``eta_form(2, .)``, and ``find_w_by_search``, which walks it;
+* the eigenform decompositions of the composite eta powers.
+
+Character evaluation: each form carries the numerator of a Kronecker
+symbol (or None for the principal character; eta powers read theirs from
+``oracles.eta_character_numerator``) together with its level; values are
+taken as a Dirichlet character modulo the level, i.e. zero whenever the
+argument shares a factor with the level.  Evaluating the bare Kronecker
+symbol instead would break the eigenform relations at the primes
+dividing the level (for the weight-1 form the relation at n = ell = 2
+forces chi(2) = 0, while the bare symbol gives (-1/2) = 1).
 
 The lacunary eta powers eta(12z)^d for d in {10, 14, 26} are not Hecke
 eigenforms themselves; each is a combination of eigenforms built from
@@ -6,20 +27,129 @@ Eisenstein series and smaller eta powers, some of them with
 coefficients in Q(sqrt(-3)) (J.-P. Serre, "Sur la lacunarité des
 puissances de eta", Glasgow Math. J. 27 (1985)).  Criterion 7 and
 ``test_forms`` check those decompositions and the eigenform relations of
-d in {2, 4, 6, 8}.  No command computes with them, so they live here:
-the ring Q(sqrt(-3)), Eisenstein series, the double-sum Hecke operator
-(the reference ``forms.hecke_apply_prime`` is tested against) and the
-normalized-eigenform scan.
+d in {2, 4, 6, 8}, with the ring Q(sqrt(-3)), Eisenstein series and the
+normalized-eigenform scan below.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Iterator, NamedTuple
 
-from congruence_workbench.arith import PreconditionError, as_rational, format_rational
-from congruence_workbench.forms import FormExpansion, eta_power
+from congruence_workbench.arith import PreconditionError, as_rational, format_rational, is_prime
+from congruence_workbench.forms import EtaPowerSpec, eta_power
 from congruence_workbench.qseries import Series
 
-from oracles import primes_below
+from oracles import eta_character_numerator, kronecker_symbol, primes_below
+
+
+class FormExpansion(NamedTuple):
+    """A q-expansion tagged with weight, level, and character metadata.
+
+    weight is d/2 for the d-th eta power (an int when whole, a rational
+    when half-integral); the level is descriptive and only enters through
+    character evaluation.
+    """
+
+    series: Series
+    weight: object
+    level: int
+    character_numerator: int | None = None
+
+    def character_value(self, m: int) -> int:
+        if m < 1:
+            raise PreconditionError("character argument must be >= 1")
+        if gcd(m, self.level) > 1:
+            return 0
+        if self.character_numerator is None:
+            return 1
+        return kronecker_symbol(self.character_numerator, m)
+
+    def integer_weight(self) -> int:
+        k = self.weight
+        if isinstance(k, int):
+            if k < 1:
+                raise PreconditionError("weight must be a positive integer")
+            return k
+        if isinstance(k, Fraction) and k.denominator == 1 and k.numerator >= 1:
+            return k.numerator
+        raise PreconditionError(f"weight {k} is not a positive integer")
+
+
+def eta_form(d: int, prec: int) -> FormExpansion:
+    """Eta power packaged with weight d/2, level (24/gcd(d,24))^2, and its character."""
+    spec = EtaPowerSpec.for_power(d)
+    weight = d // 2 if d % 2 == 0 else Fraction(d, 2)
+    return FormExpansion(
+        series=eta_power(d, prec),
+        weight=weight,
+        level=spec.M * spec.M,
+        character_numerator=eta_character_numerator(d),
+    )
+
+
+def hecke_apply_prime(f: FormExpansion, ell: int) -> Series:
+    """Prime-index collapse: a(ell*n) + chi(ell) * ell^(k-1) * a(n/ell)."""
+    if not is_prime(ell):
+        raise PreconditionError(f"{ell} is not prime")
+    k = f.integer_weight()
+    a = f.series.coeff
+    chi = f.character_value(ell)
+    out_prec = f.series.prec // ell
+    out = []
+    for n in range(out_prec):
+        val = a(ell * n)
+        if chi != 0 and n % ell == 0:
+            val = val + chi * ell ** (k - 1) * a(n // ell)
+        out.append(val)
+    return Series(out)
+
+
+def a2_prime_power_iter(ell: int, v: int) -> Iterator[int]:
+    """Residues a_2(ell^i) mod ell^v for i = 0, 1, 2, ... (never ends).
+
+    Seeds a_2(1) = 1 and reads a_2(ell) and chi(ell) off ``eta_form(2,
+    ell + 1)``, then iterates the Hecke two-term recursion
+    a_2(ell^(i+1)) = a_2(ell)a_2(ell^i) - chi(ell) a_2(ell^(i-1)) in
+    residue arithmetic.  For primes in the 1 mod 12 class the character
+    value is 1 and this is the textbook recursion; for 2 and 3, which
+    divide the level 144, the character term vanishes.
+    """
+    if not is_prime(ell):
+        raise PreconditionError(f"{ell} is not prime")
+    if v < 1:
+        raise PreconditionError("a2_prime_power_iter requires v >= 1")
+    mod = ell**v
+    form = eta_form(2, ell + 1)
+    a1 = form.series.coeff(ell) % mod
+    chi = form.character_value(ell)
+    prev, cur = 1 % mod, a1
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, (a1 * cur - chi * prev) % mod
+
+
+def a2_prime_power_sequence(ell: int, v: int, i_max: int) -> list[int]:
+    """Residues a_2(ell^i) mod ell^v for i = 0..i_max."""
+    if i_max < 0:
+        raise PreconditionError("i_max must be >= 0")
+    it = a2_prime_power_iter(ell, v)
+    return [next(it) for _ in range(i_max + 1)]
+
+def find_w_by_search(ell: int, v: int) -> int:
+    """Smallest w >= 1 with a_2(ell^w) == 0 (mod ell^v), by walking the recursion.
+
+    The two-term Hecke recursion on (a_2(ell^i), a_2(ell^(i+1))) mod ell^v,
+    seeded from the eta-square expansion, is purely periodic, so some index
+    below ell^(2v) hits zero; O(ell^v) steps when ell == 1 (mod 12).
+    """
+    bound = ell ** (2 * v)
+    it = a2_prime_power_iter(ell, v)
+    next(it)  # a_2(1)
+    for w in range(1, bound + 1):
+        if next(it) == 0:
+            return w
+    raise AssertionError(f"no zero of a_2({ell}^w) mod {ell}^{v} below the period bound {bound}")
 
 
 class QuadRational:

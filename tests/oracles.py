@@ -2,8 +2,11 @@
 
 Each oracle avoids the code path it checks: partition counts come from
 the bounded-largest-part recurrence (no pentagonal numbers, no series
-powers), products are expanded factor by factor, and valuations are
-recomputed from scratch.
+powers), products are expanded factor by factor, valuations are
+recomputed from scratch, and the Kronecker symbol, which checks the
+Euler's-criterion ``legendre_symbol``, runs by quadratic reciprocity.
+The eta-power character table, which ``eigenforms`` evaluates with it,
+sits beside it.
 """
 
 from fractions import Fraction
@@ -17,7 +20,6 @@ from congruence_workbench.congruence import (
     VerificationReport,
     VerificationStatus,
 )
-from congruence_workbench.forms import a2_prime_power_iter
 from congruence_workbench.qseries import Series, extract_progression, frac_partition_series
 
 
@@ -118,22 +120,6 @@ def pow_rational_by_fractions(f: Series, alpha) -> Series:
     return Series(out)
 
 
-def find_w_by_search(ell: int, v: int) -> int:
-    """Smallest w >= 1 with a_2(ell^w) == 0 (mod ell^v), by walking the recursion.
-
-    The two-term Hecke recursion on (a_2(ell^i), a_2(ell^(i+1))) mod ell^v,
-    seeded from the eta-square expansion, is purely periodic, so some index
-    below ell^(2v) hits zero; O(ell^v) steps when ell == 1 (mod 12).
-    """
-    bound = ell ** (2 * v)
-    it = a2_prime_power_iter(ell, v)
-    next(it)  # a_2(1)
-    for w in range(1, bound + 1):
-        if next(it) == 0:
-            return w
-    raise AssertionError(f"no zero of a_2({ell}^w) mod {ell}^{v} below the period bound {bound}")
-
-
 def primes_below(limit: int) -> list[int]:
     """All primes < limit, by sieve."""
     if limit <= 2:
@@ -156,6 +142,51 @@ def euler_criterion(a: int, p: int) -> int:
     if r == 0:
         return 0
     return 1 if r == 1 else -1
+
+
+def kronecker_symbol(a: int, m: int) -> int:
+    """Kronecker symbol (a/m), the full extension of the Jacobi symbol.
+
+    Conventions: (a/2) is 0 for even a and +-1 by a mod 8; (a/-1) is the
+    sign of a; (a/1) = 1.  m = 0 is rejected.
+    """
+    if m == 0:
+        raise PreconditionError("kronecker_symbol requires m != 0")
+    result = 1
+    if m < 0:
+        m = -m
+        if a < 0:
+            result = -1
+    while m % 2 == 0:
+        m //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            result = -result
+    # Jacobi symbol for odd positive m via quadratic reciprocity.
+    a %= m
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                result = -result
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            result = -result
+        a %= m
+    return result if m == 1 else 0
+
+
+def eta_character_numerator(d: int) -> int:
+    """The eta-power character table: the numerator a of the Kronecker symbol (a/.) for d.
+
+    Even d: (-1)^(d/2).  Odd d coprime to 6: 12.  Odd multiples of 3: -4.
+    """
+    if d % 2 == 0:
+        return -1 if (d // 2) % 2 else 1
+    if d % 3 == 0:
+        return -4
+    return 12
 
 
 @lru_cache(maxsize=None)

@@ -27,18 +27,21 @@ from congruence_workbench.congruence import (
     sharpness_probe,
     verify_claim,
 )
-from congruence_workbench.forms import (
-    a2_prime_power_sequence,
-    eta_form,
-    eta_power,
-)
+from congruence_workbench.forms import eta_power
 from congruence_workbench.qseries import (
     euler_product,
     frac_partition_series,
     series_pow_rational,
 )
 
-from eigenforms import QuadRational, eigenform_violations, normalize_leading, serre_components
+from eigenforms import (
+    QuadRational,
+    a2_prime_power_sequence,
+    eigenform_violations,
+    eta_form,
+    normalize_leading,
+    serre_components,
+)
 from oracles import expected_denominator, naive_euler_product, partition_counts, primes_below
 
 

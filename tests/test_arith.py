@@ -6,18 +6,15 @@ import pytest
 from congruence_workbench.arith import (
     NotLIntegralError,
     PreconditionError,
-    eta_character_numerator,
     format_rational,
     is_prime,
-    kronecker_symbol,
     legendre_symbol,
     padic_ord,
     reduce_mod_prime_power,
 )
-from congruence_workbench.forms import eta_form
 
-from eigenforms import QuadRational
-from oracles import euler_criterion, primes_below, squares_mod
+from eigenforms import QuadRational, eta_form
+from oracles import eta_character_numerator, euler_criterion, kronecker_symbol, primes_below, squares_mod
 
 
 class TestPadicOrd:
@@ -82,6 +79,7 @@ class TestLegendre:
                 continue
             for a in range(2 * ell):
                 assert legendre_symbol(a, ell) == euler_criterion(a, ell), (a, ell)
+                assert legendre_symbol(a, ell) == kronecker_symbol(a, ell), (a, ell)
 
     def test_against_square_enumeration(self):
         for ell in (3, 5, 7, 11, 13):

@@ -531,7 +531,7 @@ class TestDeterminism:
 
     def test_closed_stdout_exits_2_with_one_line(self):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "congruence_workbench", "coeffs", "--alpha", "-1/8", "--n", "5000"],
+            [sys.executable, "-m", "congruence_workbench", "coeffs", "--alpha", "-1/8", "--n", "4000"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -668,6 +668,33 @@ def test_printed_size_bound():
     with pytest.raises(UsageError, match="cap"):
         _check_printed_size(5, 2, 2**18)
     _check_printed_size(50_000, 5, 10)  # coeffs --n 49999 --mod 5^10: many small residues
+
+
+# exact coeffs runs that passed every other cap: killed at 10 s (--n 2 took 7.6 s), killed at 60 s,
+# 71 s and 27 MB, and about an hour by the P^2.9 fit
+_EXACT_OVER_BUDGET = {
+    "huge-integer": ("2^1000000", "3"),
+    "half": ("1/2", "20000"),
+    "huge-denominator": ("1/2^1000", "300"),
+    "t1-alpha": ("-1/8", "49999"),
+}
+
+
+@pytest.mark.parametrize("alpha, n", _EXACT_OVER_BUDGET.values(), ids=_EXACT_OVER_BUDGET.keys())
+def test_exact_coeffs_over_budget_refused_fast(capsys, alpha, n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "coeffs", "--alpha", alpha, "--n", n)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "cap" in err
+
+
+def test_exact_coeffs_budget_edges():
+    from congruence_workbench.cli import _check_exact_size
+
+    # checked through the charge: the full runs take about 1.6 s and 2.0 s
+    _check_exact_size(2**1000000, 2)  # coeffs --alpha 2^1000000 --n 1: one number at the cap
+    _check_exact_size(Fraction(1, 3), 5001)  # coeffs --alpha 1/3 --n 5000: 17.9 MB of values
 
 
 _LONG = "x" * 100_000

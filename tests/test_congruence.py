@@ -26,12 +26,10 @@ from congruence_workbench.congruence import (
     sharpness_probe,
     verify_claim,
 )
-from congruence_workbench.forms import a2_prime_power_sequence
-
 from congruence_workbench import qseries
 
+from eigenforms import a2_prime_power_sequence, find_w_by_search
 from oracles import (
-    find_w_by_search,
     primes_below,
     progression_fractions,
     sharpness_probe_by_fractions,

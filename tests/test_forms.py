@@ -6,23 +6,20 @@ import pytest
 
 from congruence_workbench.arith import PreconditionError
 from congruence_workbench.congruence import is_d_satisfactory
-from congruence_workbench.forms import (
-    EtaPowerSpec,
-    FormExpansion,
-    a2_prime_power_sequence,
-    eta_form,
-    eta_power,
-    hecke_apply_prime,
-)
+from congruence_workbench.forms import EtaPowerSpec, eta_power
 from congruence_workbench.qseries import Series, euler_product, series_pow_int
 
 from eigenforms import (
+    FormExpansion,
     NotNormalizedError,
     QuadRational,
+    a2_prime_power_sequence,
     divisor_sigma,
     eigenform_violations,
     eisenstein_series,
+    eta_form,
     hecke_apply,
+    hecke_apply_prime,
     normalize_leading,
     serre_components,
 )

@@ -20,7 +20,8 @@ from congruence_workbench.qseries import (
     series_reduce_mod,
 )
 
-from oracles import find_w_by_search, primes_below
+from eigenforms import find_w_by_search
+from oracles import primes_below
 
 # -- intexpr against a direct Fraction evaluator ---------------------------
 
