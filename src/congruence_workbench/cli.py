@@ -127,12 +127,14 @@ def _check_exact_size(alpha, prec: int):
     In lowest terms p_alpha(n) has the denominator D(n) = b^n * prod_{p | b} p^ord_p(n!) for
     alpha = a/b, built here one _multiplier(n, b) at a time.  With x = max(ceil(|alpha|), 1),
     |p_alpha(n)| <= p_{-x}(n) <= min(x^n * p(n), exp(pi * sqrt(2xn/3))), so log2 |p_alpha(n)| is at
-    most n*bits(x - 1) + sqrt(13.7*n) and at most sqrt(13.7*x*n).  Pair n is charged
-    bits(num)^2 + bits(den)^2 with bits(num) <= bits(D(n)) + log2 |p_alpha(n)| + 1, and the
-    run is refused as soon as the sum passes the budget of _check_printed_size.
+    most n*bits(x - 1) + sqrt(13.7*n) and at most sqrt(13.7*x*n).  For |alpha| <= 1 and n >= 1,
+    |p_alpha(n)| <= |alpha| * p(n), which takes bits(b) - bits(a) - 1 off bits(num).  Pair n is
+    charged bits(num)^2 + bits(den)^2 with bits(num) <= bits(D(n)) + log2 |p_alpha(n)| + 1, and
+    the run is refused as soon as the sum passes the budget of _check_printed_size.
     """
     b = alpha.denominator
     x = max(-(-abs(alpha.numerator) // b), 1)
+    small = max(b.bit_length() - abs(alpha.numerator).bit_length() - 1, 0) if x == 1 else 0
     den, cost = 1, 0
     for n in range(prec):
         if n:
@@ -141,7 +143,7 @@ def _check_exact_size(alpha, prec: int):
         if 137 * x * n < 10 * value * value:  # the exp bound is the smaller one
             value = isqrt(137 * x * n // 10) + 1
         den_bits = den.bit_length()
-        cost += (den_bits + value + 1) ** 2 + den_bits**2
+        cost += (den_bits + value + 1 - (small if n else 0)) ** 2 + den_bits**2
         if cost > MAX_POWER_BITS**2:
             raise UsageError(
                 f"printing p_alpha(0..{prec - 1}) exactly costs more than {cost} bit^2 (the values "

@@ -695,6 +695,8 @@ def test_exact_coeffs_budget_edges():
     # checked through the charge: the full runs take about 1.6 s and 2.0 s
     _check_exact_size(2**1000000, 2)  # coeffs --alpha 2^1000000 --n 1: one number at the cap
     _check_exact_size(Fraction(1, 3), 5001)  # coeffs --alpha 1/3 --n 5000: 17.9 MB of values
+    # |p_alpha(n)| <= |alpha| * p(n): numerators of 1, 1 and 340,002 bits, not of bits(D(n))
+    _check_exact_size(Fraction(1, 2**340000), 3)
 
 
 _LONG = "x" * 100_000
