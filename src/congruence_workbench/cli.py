@@ -20,6 +20,7 @@ usage failure (exit 2).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -105,36 +106,37 @@ def _parse_mod(text: str) -> tuple[int, int]:
     return ell, k
 
 
-def _check_printed_size(count: int, ell: int, k: int):
-    """Refuse printing count residues mod ell^k when count * bits(ell^k)^2 exceeds MAX_POWER_BITS^2.
+def _charge(cost: int, what: str):
+    """Refuse printing what when its estimate, cost bit^2, passes MAX_POWER_BITS^2: the one printed-size refusal.
 
-    Decimal conversion is quadratic in a number's size, so the budget is
-    one number of MAX_POWER_BITS bits, the largest the power cap admits.
-    bits(ell^k) is estimated as k * bits(ell), as the power cap does;
-    k < 1 is refused elsewhere.
+    Decimal conversion is quadratic in a number's size, so each printed number is charged its
+    bits squared, and the budget is one number of MAX_POWER_BITS bits, the largest the power cap admits.
     """
+    if cost > MAX_POWER_BITS**2:
+        raise UsageError(f"{what} is charged {cost} bit^2, above the cap {MAX_POWER_BITS}^2")
+
+
+def _check_printed_size(count: int, ell: int, k: int):
+    """Charge printing count residues mod ell^k at bits(ell^k)^2 each, with bits(ell^k) <= k * bits(ell)."""
     bits = k * ell.bit_length()
-    if bits > 0 and count * bits * bits > MAX_POWER_BITS**2:
-        raise UsageError(
-            f"printing {count} residues mod {ell}^{k} costs about {count} * {bits}^2 = "
-            f"{count * bits * bits} bit^2, above the cap {MAX_POWER_BITS}^2"
-        )
+    _charge(count * bits * bits, f"printing {count} residues mod {ell}^{k} at {bits} bits each")
 
 
 def _check_exact_size(alpha, prec: int):
-    """Refuse printing p_alpha(0..prec-1) exactly when the pairs' bits^2 overdraw MAX_POWER_BITS^2.
+    """Charge printing p_alpha(0..prec-1) exactly at bits(num)^2 + bits(den)^2 per lowest-terms pair.
 
     In lowest terms p_alpha(n) has the denominator D(n) = b^n * prod_{p | b} p^ord_p(n!) for
     alpha = a/b, built here one _multiplier(n, b) at a time.  With x = max(ceil(|alpha|), 1),
     |p_alpha(n)| <= p_{-x}(n) <= min(x^n * p(n), exp(pi * sqrt(2xn/3))), so log2 |p_alpha(n)| is at
     most n*bits(x - 1) + sqrt(13.7*n) and at most sqrt(13.7*x*n).  For |alpha| <= 1 and n >= 1,
     |p_alpha(n)| <= |alpha| * p(n), which takes bits(b) - bits(a) - 1 off bits(num).  Pair n is
-    charged bits(num)^2 + bits(den)^2 with bits(num) <= bits(D(n)) + log2 |p_alpha(n)| + 1, and
-    the run is refused as soon as the sum passes the budget of _check_printed_size.
+    charged with bits(num) <= bits(D(n)) + log2 |p_alpha(n)| + 1, and the running sum goes to
+    _charge after each pair, so the run is refused as soon as it passes the budget.
     """
     b = alpha.denominator
     x = max(-(-abs(alpha.numerator) // b), 1)
     small = max(b.bit_length() - abs(alpha.numerator).bit_length() - 1, 0) if x == 1 else 0
+    what = f"printing p_alpha(0..{prec - 1}) exactly"
     den, cost = 1, 0
     for n in range(prec):
         if n:
@@ -144,11 +146,7 @@ def _check_exact_size(alpha, prec: int):
             value = isqrt(137 * x * n // 10) + 1
         den_bits = den.bit_length()
         cost += (den_bits + value + 1 - (small if n else 0)) ** 2 + den_bits**2
-        if cost > MAX_POWER_BITS**2:
-            raise UsageError(
-                f"printing p_alpha(0..{prec - 1}) exactly costs more than {cost} bit^2 (the values "
-                f"up to n = {n}), above the cap {MAX_POWER_BITS}^2"
-            )
+        _charge(cost, what)
 
 
 class _Output:
@@ -165,6 +163,8 @@ class _Output:
         try:
             if self.file is None:
                 self.file = sys.stdout if self.path is None else open(self.path, "a", encoding="utf-8")
+            if self.file is None:  # descriptor 1 was closed before the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             self.file.write(line + "\n")
         except OSError as exc:
             raise self._unwritable(exc) from None
@@ -180,9 +180,14 @@ class _Output:
     def _unwritable(self, exc: OSError) -> UsageError:
         if self.path is not None:
             return UsageError(f"cannot write the --out file: {exc.strerror or exc}")
-        # the interpreter flushes stdout again on exit; pointed at devnull, that flush cannot fail too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         return UsageError(f"cannot write to stdout: {exc.strerror or exc}")
+
+
+def _to_devnull(stream):
+    """Point an unwritable stream at devnull: the interpreter flushes it again on exit, and that flush cannot fail too."""
+    if stream is not None:  # None when its descriptor was closed before the interpreter started
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _emit_values(args, items, fmt):
@@ -240,21 +245,16 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    """Refuse a power whose printed values would overdraw the budget of _check_printed_size.
+    """Charge the values a_d(0..n) to _charge, then print the nonzero ones.
 
     a_d(M*n + t) = p_d(n) for the P = ceil((prec - t) / M) indices n < P below prec, and
     |p_d(n)| <= p_{-d}(n) <= exp(pi * sqrt(2*d*n/3)), so bits(p_d(n))^2 <= 13.7*d*n.
-    Charged at 14*d*n each, they cost 7*d*P*(P - 1) bit^2, against MAX_POWER_BITS^2.
+    Charged at 14*d*n each, they cost 7*d*P*(P - 1) bit^2.
     """
     prec = _series_prec(args)
     spec = EtaPowerSpec.for_power(args.d)
     terms = max(-(-(prec - spec.t) // spec.M), 0)
-    cost = 7 * args.d * terms * (terms - 1)
-    if cost > MAX_POWER_BITS**2:
-        raise UsageError(
-            f"printing eta power {args.d} to n = {args.n} costs about 7 * {args.d} * {terms} * {terms - 1} = "
-            f"{cost} bit^2, above the cap {MAX_POWER_BITS}^2"
-        )
+    _charge(7 * args.d * terms * (terms - 1), f"printing eta power {args.d} to n = {args.n}")
     _emit_values(args, eta_power(args.d, prec).nonzero_items(), format_rational)
     return EXIT_OK
 
@@ -263,11 +263,7 @@ def cmd_verify(args) -> int:
     claim = _build_claim(args)
     report = verify_claim(claim, args.nmax, max_precision=args.max_prec)
     args.emit(certificate_line(report))
-    if report.status is VerificationStatus.VERIFIED_IN_RANGE:
-        return EXIT_OK
-    if report.status is VerificationStatus.COUNTEREXAMPLE:
-        return EXIT_NEGATIVE
-    return EXIT_PRECONDITION
+    return EXIT_OK if report.status is VerificationStatus.VERIFIED_IN_RANGE else EXIT_NEGATIVE
 
 
 def cmd_find_w(args) -> int:
@@ -441,7 +437,11 @@ def main(argv=None) -> int:
         finally:
             output.close()
     except (UsageError, PreconditionError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:  # with stderr closed (None) or unwritable, the exit code is the only report
+            if sys.stderr is not None:
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            _to_devnull(sys.stderr)
         return EXIT_PRECONDITION
     finally:
         if limit is not None:

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 from . import __version__ as _artifact_version
 from .arith import (
-    NotLIntegralError,
     PreconditionError,
     as_rational,
     check_power_cap,
@@ -85,7 +84,6 @@ class ClaimFamily(str, Enum):
 class VerificationStatus(str, Enum):
     VERIFIED_IN_RANGE = "VERIFIED_IN_RANGE"
     COUNTEREXAMPLE = "COUNTEREXAMPLE"
-    PRECONDITION_FAILED = "PRECONDITION_FAILED"
 
 
 class HypothesisError(PreconditionError):
@@ -103,7 +101,8 @@ class PrecisionCapExceeded(PreconditionError):
 class CongruenceClaim:
     """p_alpha(ell^e * n + r) == 0 (mod ell^modulus_power) for all n >= 0.
 
-    Immutable; equal claims (same type and fields) hash alike.
+    Immutable; equal claims (same type and fields) hash alike.  Copies and
+    pickles are rebuilt through the constructor, which checks them again.
     """
 
     __slots__ = ("family", "alpha", "d", "ell", "e", "r", "modulus_power")
@@ -128,6 +127,9 @@ class CongruenceClaim:
 
     def __delattr__(self, name):
         raise AttributeError("CongruenceClaim is immutable")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -171,7 +173,6 @@ class VerificationReport(NamedTuple):
     n_max: int
     status: VerificationStatus
     counterexample: Counterexample | None = None
-    note: str = ""
 
 
 def _inert(d: int, ell: int) -> bool:
@@ -381,20 +382,18 @@ def find_residues(d: int, ell: int, target_ord: int, count: int) -> list[int]:
     return out
 
 
-def required_precision(claim: CongruenceClaim, n_max: int) -> int:
-    return claim.progression_modulus * n_max + claim.r + 1
-
-
-def _progression_residues(claim: CongruenceClaim, n_max: int, k: int, max_precision: int | None):
-    """The progression's residues mod ell^k, from the ell-adic kernel; NotLIntegralError when ell | b."""
-    prec = required_precision(claim, n_max)
+def _progression_residues(claim: CongruenceClaim, n_max: int, k: int, max_precision: int | None) -> tuple:
+    """The residues mod ell^k of p_alpha(ell^e * n + r) for 0 <= n <= n_max, from the ell-adic kernel."""
+    if n_max < 0:
+        raise PreconditionError("n_max must be >= 0")
+    prec = claim.progression_modulus * n_max + claim.r + 1
     if max_precision is not None and prec > max_precision:
         raise PrecisionCapExceeded(
             f"verifying {claim.describe()} to n_max = {n_max} needs series precision "
             f"{prec}, above the cap {max_precision}"
         )
     residues = series_pow_residues(claim.alpha, claim.ell, k, prec)
-    return extract_progression(residues, claim.progression_modulus, claim.r)
+    return extract_progression(residues, claim.progression_modulus, claim.r).coeffs
 
 
 def _exact_value(claim: CongruenceClaim, n: int):
@@ -409,30 +408,15 @@ def verify_claim(
     """Check the claim for 0 <= n <= n_max by the ell-adic kernel's residues mod ell^modulus_power.
 
     The first failing n (if any) is reported with the exact coefficient
-    and its ell-adic ord, the only Fraction built.  When ell divides the
-    denominator of alpha, which no builder accepts, every coefficient past
-    the constant term has a negative ord, so the first one read turns into
-    PRECONDITION_FAILED rather than an exception.
+    and its ell-adic ord, the only Fraction built.  The hypotheses, ell not
+    dividing the denominator of alpha among them, are the claim's to check.
     """
-    if n_max < 0:
-        raise PreconditionError("n_max must be >= 0")
-    try:
-        residues = _progression_residues(claim, n_max, claim.modulus_power, max_precision)
-    except NotLIntegralError as exc:
-        # ell | b: the first n with ell^e * n + r >= exc.index fails.  The note keeps the wording of
-        # the exact path, which names that n and not its exponent, so recorded outputs stay the same.
-        n = max(0, -(-(exc.index - claim.r) // claim.progression_modulus))
-        note = f"coefficient at exponent {n} is not {claim.ell}-integral"
-        return VerificationReport(claim, n_max, VerificationStatus.PRECONDITION_FAILED, note=note)
-    for n, residue in enumerate(residues.coeffs):
+    residues = _progression_residues(claim, n_max, claim.modulus_power, max_precision)
+    for n, residue in enumerate(residues):
         if residue != 0:
             value = _exact_value(claim, n)
-            return VerificationReport(
-                claim,
-                n_max,
-                VerificationStatus.COUNTEREXAMPLE,
-                Counterexample(n=n, value=value, ord=padic_ord(value, claim.ell)),
-            )
+            counterexample = Counterexample(n=n, value=value, ord=padic_ord(value, claim.ell))
+            return VerificationReport(claim, n_max, VerificationStatus.COUNTEREXAMPLE, counterexample)
     return VerificationReport(claim, n_max, VerificationStatus.VERIFIED_IN_RANGE)
 
 
@@ -445,16 +429,11 @@ def sharpness_probe(
     means inconclusive: absence of a witness in range proves nothing.
     The ord is exactly m = modulus_power when the residue mod ell^(m+1) is
     nonzero and divisible by ell^m; only the witness's value is built as a
-    Fraction.  When ell divides the denominator of alpha, no ord is positive.
+    Fraction.  Like :func:`verify_claim`, it trusts the claim's hypotheses.
     """
-    if n_max < 0:
-        raise PreconditionError("n_max must be >= 0")
-    try:
-        residues = _progression_residues(claim, n_max, claim.modulus_power + 1, max_precision)
-    except NotLIntegralError:
-        return None
+    residues = _progression_residues(claim, n_max, claim.modulus_power + 1, max_precision)
     mod = claim.ell**claim.modulus_power
-    for n, residue in enumerate(residues.coeffs):
+    for n, residue in enumerate(residues):
         if residue and residue % mod == 0:
             return SharpnessWitness(n=n, value=_exact_value(claim, n))
     return None
@@ -476,13 +455,7 @@ def certificate_record(report: VerificationReport) -> dict:
     }
     if report.counterexample is not None:
         ce = report.counterexample
-        record["counterexample"] = {
-            "n": ce.n,
-            "value": format_rational(ce.value),
-            "ord": ce.ord,
-        }
-    if report.note:
-        record["note"] = report.note
+        record["counterexample"] = {"n": ce.n, "value": format_rational(ce.value), "ord": ce.ord}
     record["artifact_version"] = _artifact_version
     return record
 

@@ -87,6 +87,9 @@ class Series:
     def __delattr__(self, name):
         raise AttributeError("Series is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
     def coeff(self, n: int):
         """Coefficient at exponent n; 0 for n < 0 by convention."""
         if n < 0:
@@ -133,8 +136,8 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         prec = min(self.prec, other.prec)
-        # Cauchy product; skip zero entries so sparse operands (eta powers,
-        # Euler products) pay only for their support.
+        # Cauchy product, skipping zero entries.  No command multiplies series; it stays a
+        # method because perfbench/tracer.py patches Series.__mul__.
         f = [(i, c) for i, c in enumerate(self.coeffs[:prec]) if c != 0]
         g = [(j, c) for j, c in enumerate(other.coeffs[:prec]) if c != 0]
         if len(g) < len(f):

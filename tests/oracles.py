@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from congruence_workbench.arith import PreconditionError, as_rational, padic_ord
+from congruence_workbench.arith import NotLIntegralError, PreconditionError, as_rational, padic_ord
 from congruence_workbench.congruence import (
     Counterexample,
     SharpnessWitness,
@@ -227,9 +227,22 @@ def expected_denominator(b: int, n: int) -> int:
 
 def progression_fractions(claim, n_max: int) -> Series:
     """p_alpha(ell^e * n + r) for n <= n_max, each a reduced Fraction of the whole series."""
-    prec = claim.progression_modulus * n_max + claim.r + 1
-    series = frac_partition_series(claim.alpha, prec)
+    series = frac_partition_series(claim.alpha, _precision(claim, n_max))
     return extract_progression(series, claim.progression_modulus, claim.r).truncate(n_max + 1)
+
+
+def _precision(claim, n_max: int) -> int:
+    return claim.progression_modulus * n_max + claim.r + 1
+
+
+def _refuse_non_integral(claim, n_max: int, values: Series):
+    """A claim forged with ell | b: refuse as the ell-adic kernel does, at the first exponent below
+    the precision (read off the Fraction series) whose coefficient is not ell-integral."""
+    ell = claim.ell
+    if any(value.denominator % ell == 0 for value in values.coeffs):
+        series = frac_partition_series(claim.alpha, _precision(claim, n_max))
+        n = next(n for n, c in enumerate(series.coeffs) if c.denominator % ell == 0)
+        raise NotLIntegralError(f"coefficient at exponent {n} is not {ell}-integral", index=n)
 
 
 def verify_claim_by_fractions(claim, n_max: int, values: Series | None = None) -> VerificationReport:
@@ -239,11 +252,8 @@ def verify_claim_by_fractions(claim, n_max: int, values: Series | None = None) -
     """
     if values is None:
         values = progression_fractions(claim, n_max)
+    _refuse_non_integral(claim, n_max, values)
     ell, mod = claim.ell, claim.ell**claim.modulus_power
-    for n, value in enumerate(values.coeffs):
-        if value.denominator % ell == 0:
-            note = f"coefficient at exponent {n} is not {ell}-integral"
-            return VerificationReport(claim, n_max, VerificationStatus.PRECONDITION_FAILED, note=note)
     for n, value in enumerate(values.coeffs):
         if value.numerator * pow(value.denominator, -1, mod) % mod != 0:
             ce = Counterexample(n=n, value=value, ord=padic_ord(value, ell))
@@ -255,6 +265,7 @@ def sharpness_probe_by_fractions(claim, n_max: int, values: Series | None = None
     """sharpness_probe over Fractions: the first value of ord exactly modulus_power."""
     if values is None:
         values = progression_fractions(claim, n_max)
+    _refuse_non_integral(claim, n_max, values)
     for n, value in enumerate(values.coeffs):
         if value != 0 and padic_ord(value, claim.ell) == claim.modulus_power:
             return SharpnessWitness(n=n, value=value)

@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 import congruence_workbench
 from congruence_workbench import qseries
 from congruence_workbench.cli import main
-from congruence_workbench.qseries import euler_product
+from congruence_workbench.qseries import Series, euler_product
 
 from oracles import binomial_series_power, naive_euler_product, pow_rational_by_fractions
 
@@ -212,6 +213,29 @@ class TestEta:
         ]
         assert out.splitlines() == expected
 
+    @pytest.mark.parametrize(
+        "n, cost, code",
+        [(80899, 1_099_487_306_736, 0), (80900, 1_099_514_488_800, 2)],
+        ids=["at-most-2^40", "above-2^40"],
+    )
+    def test_charge_at_the_budget_edge(self, capsys, monkeypatch, n, cost, code):
+        # eta^24 has M = 1 and t = 1, so --n N prints N values, charged 7 * 24 * N * (N - 1) bit^2;
+        # the stub expands and prints nothing, so only the charge runs
+        from congruence_workbench import cli
+
+        charged = []
+        charge = cli._charge
+        monkeypatch.setattr(cli, "_charge", lambda c, what: charged.append(c) or charge(c, what))
+        monkeypatch.setattr(cli, "eta_power", lambda d, prec: Series([]))
+        got = run_cli(capsys, "eta", "--d", "24", "--n", str(n), "--max-prec", str(n + 1))
+        assert charged == [cost] and (cost <= 2**40) == (code == 0)
+        if code == 0:
+            assert got == (0, "", "")
+        else:
+            assert got[:2] == (2, "") and got[2] == (
+                f"error: printing eta power 24 to n = {n} is charged {cost} bit^2, above the cap 1048576^2\n"
+            )
+
 
 class TestVerify:
     def test_t1_example(self, capsys):
@@ -246,6 +270,22 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--family", "cw", "--alpha", alpha, "--d", d, "--ell", "2", "--r", "0")
         assert code == 2 and out == ""
         assert err.startswith("error: chan_wang_condition: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "sharpness"])
+    def test_forged_ell_dividing_b_claim_exits_2(self, capsys, monkeypatch, command):
+        # no builder accepts ell | b, so forge one past the builder: the kernel refuses it
+        from congruence_workbench import cli
+        from congruence_workbench.congruence import CongruenceClaim
+
+        def forged(alpha, d, ell, r):
+            claim = object.__new__(CongruenceClaim)
+            for name, value in zip(CongruenceClaim.__slots__, ("cw", Fraction(1, 5), 4, 5, 1, 4, 1)):
+                object.__setattr__(claim, name, value)
+            return claim
+
+        monkeypatch.setattr(cli, "build_cw_claim", forged)
+        argv = (command, "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4", "--nmax", "3")
+        assert run_cli(capsys, *argv) == (2, "", "error: coefficient at exponent 1 is not 5-integral\n")
 
     def test_t3_builder_roundtrip_with_expressions(self, capsys):
         # hypothesis checks pass; the verification itself is beyond any
@@ -471,6 +511,13 @@ def _run_subprocess(args):
     )
 
 
+def _run_shell(command: str):
+    """Run the CLI through the shell, so that a redirection such as ``>&-`` closes a descriptor."""
+    return subprocess.run(
+        f"{shlex.quote(sys.executable)} -m congruence_workbench {command}", shell=True, capture_output=True
+    )
+
+
 # Start-up probes run with -S: without site, no .pth file imports anything before the
 # program starts.  The package's parent directory is put on sys.path through PYTHONPATH.
 _NO_SITE = os.environ | {"PYTHONPATH": str(Path(congruence_workbench.__file__).resolve().parents[1])}
@@ -541,6 +588,29 @@ class TestDeterminism:
         proc.stderr.close()
         assert proc.wait() == 2
         assert err.startswith("error: cannot write to stdout") and len(err.splitlines()) == 1
+
+    def test_stdout_closed_at_start_exits_2(self):
+        # with descriptor 1 closed before start-up, sys.stdout is None
+        proc = _run_shell("find-w --ell 13 --v 1 >&-")
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write to stdout: Bad file descriptor\n"
+
+    def test_stderr_closed_at_start_exits_2(self):
+        # with descriptor 2 closed, sys.stderr is None, and the refusal must not go to stdout
+        proc = _run_shell("find-w --ell 1 --v 1 2>&-")
+        assert proc.returncode == 2 and proc.stdout == b""
+
+    def test_read_only_stderr_exits_2(self, tmp_path):
+        # a descriptor 2 open for reading fails the write itself (EBADF)
+        source = tmp_path / "input.txt"
+        source.write_bytes(b"")
+        with open(source, "rb") as read_only:
+            proc = subprocess.run(
+                [sys.executable, "-m", "congruence_workbench", "find-w", "--ell", "1", "--v", "1"],
+                stdout=subprocess.PIPE,
+                stderr=read_only,
+            )
+        assert proc.returncode == 2 and proc.stdout == b""
 
     def test_version_names_fractions(self):
         proc = _run_subprocess(["--version"])

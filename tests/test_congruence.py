@@ -1,10 +1,12 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from congruence_workbench.arith import PreconditionError, padic_ord
+from congruence_workbench.arith import NotLIntegralError, PreconditionError, padic_ord
 from congruence_workbench.congruence import (
     ClaimFamily,
     CongruenceClaim,
@@ -321,8 +323,8 @@ class TestVerifyClaim:
         assert ce.ord == 1
 
     def test_not_l_integral_is_precondition_failed(self):
-        # No builder emits a claim with ell | denominator(alpha); force one
-        # past validation to exercise the report-level safety net.
+        # No builder or constructor emits a claim with ell | denominator(alpha); one forced
+        # past them meets the ell-adic kernel's refusal of exponent 1, a PreconditionError.
         claim = object.__new__(CongruenceClaim)
         for field, value in (
             ("family", ClaimFamily.CW),
@@ -334,9 +336,11 @@ class TestVerifyClaim:
             ("modulus_power", 1),
         ):
             object.__setattr__(claim, field, value)
-        report = verify_claim(claim, 4)
-        assert report.status is VerificationStatus.PRECONDITION_FAILED
-        assert "integral" in report.note
+        for check in (verify_claim, sharpness_probe):
+            with pytest.raises(PreconditionError) as excinfo:
+                check(claim, 4)
+            assert type(excinfo.value) is NotLIntegralError and excinfo.value.index == 1
+            assert str(excinfo.value) == "coefficient at exponent 1 is not 5-integral"
 
     def test_precision_cap(self):
         claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
@@ -478,6 +482,25 @@ def test_infinity_never_in_counterexample_ord():
     assert type(counterexample["ord"]) is int and counterexample["value"] != "0/1"
 
 
+@pytest.mark.parametrize("copier", ["copy", "deepcopy", "pickle"])
+def test_immutable_values_copy_and_pickle(copier):
+    copiers = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    }
+    claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
+    report = verify_claim(_forced(claim, modulus_power=3), 2)  # holds a claim and a counterexample
+    series = qseries.frac_partition_series(Fraction(1, 13), 5)
+    for value in (claim, report, series):
+        twin = copiers[copier](value)
+        assert twin == value and type(twin) is type(value)
+    assert report.status is VerificationStatus.COUNTEREXAMPLE
+    # the copy is rebuilt through the constructor, which refuses ell | b as it refuses any claim
+    with pytest.raises(HypothesisError, match="ell_coprime_to_denominator"):
+        copiers[copier](_forced(claim, alpha=Fraction(1, 7)))
+
+
 def _forced(claim, **changes):
     """The claim with some fields changed, built past every validation."""
     forced = object.__new__(CongruenceClaim)
@@ -545,17 +568,26 @@ class TestChecksAgainstFractionOracle:
         assert self._assert_same(claim, 3, values).status is VerificationStatus.VERIFIED_IN_RANGE
         self._assert_same(_forced(claim, modulus_power=m + 1), 3, values)
 
+    def _assert_same_refusal(self, claim, n_max, values):
+        """verify_claim, sharpness_probe and their oracles all refuse, naming exponent 1."""
+        pairs = ((verify_claim, verify_claim_by_fractions), (sharpness_probe, sharpness_probe_by_fractions))
+        for check, oracle in pairs:
+            with pytest.raises(NotLIntegralError) as got:
+                check(claim, n_max)
+            with pytest.raises(NotLIntegralError) as want:
+                oracle(claim, n_max, values)
+            assert got.value.index == want.value.index == 1
+            assert str(got.value) == str(want.value) == f"coefficient at exponent 1 is not {claim.ell}-integral"
+
     @pytest.mark.parametrize(
         "alpha, ell, e, r",
         [(Fraction(1, 5), 5, 1, 3), (Fraction(1, 5), 5, 1, 0), (Fraction(2, 7), 7, 1, 0), (Fraction(-3, 5), 5, 2, 4)],
     )
     def test_not_l_integral_note_names_same_exponent(self, alpha, ell, e, r):
+        # the kernel's refusal names the exponent that the Fraction series shows first failing
         base = build_cw_claim(-1, 4, 5, 4)
         claim = _forced(base, alpha=alpha, ell=ell, e=e, r=r)
-        values = progression_fractions(claim, 6)
-        report = self._assert_same(claim, 6, values)
-        assert report.status is VerificationStatus.PRECONDITION_FAILED
-        assert "is not" in report.note and "integral" in report.note
+        self._assert_same_refusal(claim, 6, progression_fractions(claim, 6))
 
     @pytest.mark.parametrize(
         "alpha, ell", [(Fraction(1, 5), 5), (Fraction(-1, 8), 2), (Fraction(2, 9), 3), (Fraction(3, 49), 7)]
@@ -563,28 +595,34 @@ class TestChecksAgainstFractionOracle:
     @pytest.mark.parametrize("e, r", [(1, 0), (1, 1), (2, 0), (2, 3)])
     @pytest.mark.parametrize("n_max", [0, 1, 4])
     def test_ell_dividing_b_matches_the_exact_path(self, alpha, ell, e, r, n_max):
-        # no kernel runs: every coefficient past the constant term has a negative ord
+        # every coefficient past the constant term has a negative ord, so only precision 1 is read
         for power in (1, 2):
             claim = _forced(build_cw_claim(-1, 4, 5, 4), alpha=alpha, ell=ell, e=e, r=r, modulus_power=power)
-            report = self._assert_same(claim, n_max, progression_fractions(claim, n_max))
-            assert sharpness_probe(claim, n_max) is None
+            values = progression_fractions(claim, n_max)
             if r == 0 and n_max == 0:
+                report = self._assert_same(claim, n_max, values)
                 assert report.status is VerificationStatus.COUNTEREXAMPLE
                 assert report.counterexample == Counterexample(n=0, value=Fraction(1), ord=0)
+                assert sharpness_probe(claim, n_max) is None
             else:
-                assert report.status is VerificationStatus.PRECONDITION_FAILED
-                assert report.note == f"coefficient at exponent {0 if r else 1} is not {ell}-integral"
+                self._assert_same_refusal(claim, n_max, values)
 
     def test_sharpness_reads_ord_relative_to_the_denominator(self):
-        # ell | b: the common denominator carries ell^t, so ord_ell(N(n)) runs
-        # far above ord_ell(p_alpha(n)); every modulus_power up to past t
-        # must still give the oracle's answer
+        # ell | b: every coefficient past the constant term has a negative ord, so at every
+        # modulus_power up to 59 sharpness refuses past precision 1, as its oracle does, and
+        # reads None at precision 1
         base = build_cw_claim(-1, 4, 5, 4)
         claim = _forced(base, alpha=Fraction(1, 5), r=0)
         values = progression_fractions(claim, 6)
         for power in range(1, 60):
             forced = _forced(claim, modulus_power=power)
-            assert sharpness_probe(forced, 6) == sharpness_probe_by_fractions(forced, 6, values)
+            with pytest.raises(NotLIntegralError) as got:
+                sharpness_probe(forced, 6)
+            with pytest.raises(NotLIntegralError) as want:
+                sharpness_probe_by_fractions(forced, 6, values)
+            assert got.value.index == want.value.index == 1
+            assert sharpness_probe(forced, 0) is None
+            assert sharpness_probe_by_fractions(forced, 0, values.truncate(1)) is None
 
     def test_verified_claim_builds_no_coefficient_fraction(self, monkeypatch):
         # qseries.series_pow_rational is where a coefficient becomes a Fraction
