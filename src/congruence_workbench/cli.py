@@ -29,7 +29,9 @@ from types import SimpleNamespace
 
 from . import __version__
 from .arith import MAX_POWER_BITS, PRIME_TEST_BOUND, PreconditionError, check_power_cap, format_rational
-from .congruence import (
+from .congruence import (  # every build_<family>_claim stays bound here: _build_claim and perfbench/tracer.py
+    FAMILY_PARAMS,
+    ClaimFamily,
     VerificationStatus,
     build_cw_claim,
     build_remark_claim,
@@ -208,24 +210,16 @@ def _series_prec(args) -> int:
 
 
 def _build_claim(args):
+    """Build the --family claim from the flags FAMILY_PARAMS gives it, refusing a missing or an unused one."""
     alpha = _parse_alpha(args.alpha)
     r = _parse_int_flag("--r", args.r)
-    if args.family == "cw":
-        return build_cw_claim(alpha, _require(args, "d"), _require(args, "ell"), r)
-    if args.family == "t1":
-        return build_t1_claim(alpha, _require(args, "d"), _require(args, "ell"), r)
-    if args.family == "t2":
-        return build_t2_claim(alpha, _require(args, "ell"), r)
-    if args.family == "t3":
-        return build_t3_claim(alpha, _require(args, "ell"), _require(args, "v"), r)
-    return build_remark_claim(alpha, _require(args, "d"), _require(args, "ell"), r)  # the parser checked --family
-
-
-def _require(args, name: str) -> int:
-    value = getattr(args, name, None)
-    if value is None:
-        raise UsageError(f"--{name} is required for --family {args.family}")
-    return value
+    params = FAMILY_PARAMS[ClaimFamily(args.family)]
+    for name in _CLAIM_PARAMS:
+        given = getattr(args, name) is not None
+        if given != (name in params):
+            raise UsageError(f"--{name} is {'not used' if given else 'required'} for --family {args.family}")
+    # looked up at call time, so a wrapper installed on the module attribute runs
+    return globals()[f"build_{args.family}_claim"](alpha, *(getattr(args, name) for name in params), r)
 
 
 def cmd_coeffs(args) -> int:
@@ -317,6 +311,7 @@ def cmd_seed_examples(args) -> int:
 
 
 _REQUIRED = object()  # the default of a flag that must be given
+_FAMILY_FLAGS = {f.value: " ".join(f"--{name}" for name in params) for f, params in FAMILY_PARAMS.items()}
 
 # The command table.  _FLAGS gives each flag's kind (_int_flag: integer expression, str: text, or a tuple
 # of choices) and help line; COMMANDS gives each command's handler, help line (None: unlisted) and flag defaults.
@@ -329,7 +324,8 @@ _FLAGS = {
     "--v": (_int_flag, "modulus exponent v"),
     "--ord": (_int_flag, "exact ord of each residue"),
     "--count": (_int_flag, "how many residues"),
-    "--family": (("cw", "t1", "t2", "t3", "remark"), "claim family"),
+    "--family": (tuple(_FAMILY_FLAGS),
+                 "claim family (" + "; ".join(f"{f}: {flags}" for f, flags in _FAMILY_FLAGS.items()) + ")"),
     "--r": (str, "residue (literal or expression)"),
     "--nmax": (_int_flag, "range bound"),
     "--output": (("table", "jsonl"), "value formatting mode"),
@@ -337,8 +333,9 @@ _FLAGS = {
     "--max-prec": (_int_flag, "refuse runs needing more series precision, or printing more residues"),
 }
 _SHARED = {"--output": "table", "--out": None, "--max-prec": DEFAULT_MAX_PRECISION}
-_CLAIM = {"--family": _REQUIRED, "--alpha": _REQUIRED, "--d": None, "--ell": None, "--v": None, "--r": _REQUIRED,
-          "--nmax": DEFAULT_N_MAX}
+_CLAIM_PARAMS = tuple(dict.fromkeys(name for params in FAMILY_PARAMS.values() for name in params))  # d, ell, v
+_CLAIM = {"--family": _REQUIRED, "--alpha": _REQUIRED, **dict.fromkeys(f"--{name}" for name in _CLAIM_PARAMS),
+          "--r": _REQUIRED, "--nmax": DEFAULT_N_MAX}
 COMMANDS = {
     "coeffs": (cmd_coeffs, "print p_alpha(0..N)", {"--alpha": _REQUIRED, "--n": _REQUIRED, "--mod": None}),
     "eta": (cmd_eta, "print nonzero eta-power coefficients a_D(0..N)", {"--d": _REQUIRED, "--n": _REQUIRED}),

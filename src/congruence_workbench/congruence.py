@@ -48,6 +48,7 @@ __all__ = [
     "ClaimFamily",
     "CongruenceClaim",
     "Counterexample",
+    "FAMILY_PARAMS",
     "HypothesisError",
     "PrecisionCapExceeded",
     "SharpnessWitness",
@@ -81,6 +82,16 @@ class ClaimFamily(str, Enum):
     REMARK = "remark"
 
 
+#: the integer parameters of each family's builder, in order, between alpha and r
+FAMILY_PARAMS = {
+    ClaimFamily.CW: ("d", "ell"),
+    ClaimFamily.T1: ("d", "ell"),
+    ClaimFamily.T2: ("ell",),
+    ClaimFamily.T3: ("ell", "v"),
+    ClaimFamily.REMARK: ("d", "ell"),
+}
+
+
 class VerificationStatus(str, Enum):
     VERIFIED_IN_RANGE = "VERIFIED_IN_RANGE"
     COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -92,6 +103,9 @@ class HypothesisError(PreconditionError):
     def __init__(self, hypothesis: str, message: str):
         super().__init__(f"{hypothesis}: {message}")
         self.hypothesis = hypothesis
+
+    def __reduce__(self):
+        return type(self), (self.hypothesis, str(self).removeprefix(f"{self.hypothesis}: "))
 
 
 class PrecisionCapExceeded(PreconditionError):
@@ -265,38 +279,33 @@ def _finite_alpha_ord(alpha, d: int, ell: int):
     return padic_ord(shifted, ell)
 
 
-def build_t1_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
-    """Squared-progression claim with modulus ell^(ord_ell(alpha - d))."""
+def _squared_claim(family, alpha, d: int, ell: int, r: int, drop: int, hypothesis: str) -> CongruenceClaim:
+    """The tail of t1, t2 and remark, once their (d, ell) is admitted: p_alpha(ell^2*n + r) == 0
+    (mod ell^(ord_ell(alpha - d) - drop)), refused under the hypothesis name when that is below ell."""
     alpha = as_rational(alpha)
-    if d not in CM_D:
-        raise HypothesisError("d_in_family_list", f"d = {d} not in {CM_D}")
-    if not is_d_satisfactory(d, ell):
-        raise HypothesisError("d_satisfactory", f"{ell} is not {d}-satisfactory")
     _check_denominator(alpha, ell)
     r0 = _canonical_r(r, ell**2)
     _residue_ord_check(d, ell, r0, 1, "residue_ord_one")
     v = _finite_alpha_ord(alpha, d, ell)
-    if v < 1:
-        raise HypothesisError(
-            "alpha_ord_positive", f"ord_{ell}(alpha - {d}) = {v}, need >= 1"
-        )
-    return CongruenceClaim(ClaimFamily.T1, alpha, d, ell, 2, r0, v)
+    if v - drop < 1:
+        raise HypothesisError(hypothesis, f"ord_{ell}(alpha - {d}) = {v}, need >= {drop + 1}")
+    return CongruenceClaim(family, alpha, d, ell, 2, r0, v - drop)
+
+
+def build_t1_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
+    """Squared-progression claim with modulus ell^(ord_ell(alpha - d))."""
+    if d not in CM_D:
+        raise HypothesisError("d_in_family_list", f"d = {d} not in {CM_D}")
+    if not is_d_satisfactory(d, ell):
+        raise HypothesisError("d_satisfactory", f"{ell} is not {d}-satisfactory")
+    return _squared_claim(ClaimFamily.T1, alpha, d, ell, r, 0, "alpha_ord_positive")
 
 
 def build_t2_claim(alpha, ell: int, r: int) -> CongruenceClaim:
     """d = 2 analogue: modulus ell^(ord_ell(alpha - 2) - 1)."""
-    alpha = as_rational(alpha)
     if not is_d_satisfactory(2, ell):
         raise HypothesisError("two_satisfactory", f"{ell} == 1 (mod 12) is excluded")
-    _check_denominator(alpha, ell)
-    r0 = _canonical_r(r, ell**2)
-    _residue_ord_check(2, ell, r0, 1, "residue_ord_one")
-    v = _finite_alpha_ord(alpha, 2, ell)
-    if v < 2:
-        raise HypothesisError(
-            "alpha_ord_at_least_two", f"ord_{ell}(alpha - 2) = {v}, need >= 2"
-        )
-    return CongruenceClaim(ClaimFamily.T2, alpha, 2, ell, 2, r0, v - 1)
+    return _squared_claim(ClaimFamily.T2, alpha, 2, ell, r, 1, "alpha_ord_at_least_two")
 
 
 def find_w(ell: int, v: int) -> int:
@@ -332,33 +341,17 @@ def build_t3_claim(alpha, ell: int, v: int, r: int) -> CongruenceClaim:
             f"ord_{ell}(alpha - 2) = {ord_alpha}, need v + w = {v} + {w} = {v + w}",
         )
     r0 = _canonical_r(r, ell ** (w + 1))
-    ord_r = padic_ord(12 * r0 + 1, ell)
-    if ord_r != w:
-        raise HypothesisError(
-            "residue_ord_equals_w", f"ord_{ell}(12r + 1) = {ord_r}, need w = {w}"
-        )
+    _residue_ord_check(2, ell, r0, w, "residue_ord_equals_w")  # ord_ell(12r + 1) = w
     return CongruenceClaim(ClaimFamily.T3, alpha, 2, ell, w + 1, r0, v)
 
 
 def build_remark_claim(alpha, d: int, ell: int, r: int) -> CongruenceClaim:
     """The excluded-prime variants (d, ell) in {(14, 5), (26, 11)}."""
-    alpha = as_rational(alpha)
     if (d, ell) not in REMARK_PAIRS:
         raise HypothesisError(
             "remark_pair", f"(d, ell) = ({d}, {ell}) not in {{(14, 5), (26, 11)}}"
         )
-    _check_denominator(alpha, ell)
-    r0 = _canonical_r(r, ell**2)
-    _residue_ord_check(d, ell, r0, 1, "residue_ord_one")
-    drop = 1 if d == 14 else 2
-    ord_alpha = _finite_alpha_ord(alpha, d, ell)
-    power = ord_alpha - drop
-    if power < 1:
-        raise HypothesisError(
-            "modulus_power_positive",
-            f"ord_{ell}(alpha - {d}) - {drop} = {power}, need >= 1",
-        )
-    return CongruenceClaim(ClaimFamily.REMARK, alpha, d, ell, 2, r0, power)
+    return _squared_claim(ClaimFamily.REMARK, alpha, d, ell, r, 1 if d == 14 else 2, "modulus_power_positive")
 
 
 def find_residues(d: int, ell: int, target_ord: int, count: int) -> list[int]:

@@ -237,6 +237,16 @@ class TestEta:
             )
 
 
+# flags after --family that build a verified claim of each family
+_FAMILY_ARGV = {
+    "cw": ("--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4"),
+    "t1": ("--alpha", "-1/8", "--d", "6", "--ell", "7", "--r", "5"),
+    "t2": ("--alpha", "1/13", "--ell", "5", "--r", "7"),
+    "t3": ("--alpha", "1/13", "--ell", "5", "--v", "1", "--r", "7"),
+    "remark": ("--alpha", "14+25/13", "--d", "14", "--ell", "5", "--r", "4"),
+}
+
+
 class TestVerify:
     def test_t1_example(self, capsys):
         code, out, _ = run_cli(
@@ -315,6 +325,27 @@ class TestVerify:
         )
         assert code == 2
         assert "--d" in err
+
+    @pytest.mark.parametrize("family", _FAMILY_ARGV)
+    def test_builder_called_once_by_its_module_name(self, capsys, monkeypatch, family):
+        # perfbench/tracer.py wraps cli.build_<family>_claim by attribute to record congruence.build
+        from congruence_workbench import cli
+
+        name, calls = f"build_{family}_claim", []
+        builder = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or builder(*args))
+        code, out, _ = run_cli(capsys, "verify", "--family", family, *_FAMILY_ARGV[family], "--nmax", "2")
+        assert code == 0 and json.loads(out)["family"] == family
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command, family, flag",
+        [("verify", "t2", "--d"), ("verify", "cw", "--v"), ("verify", "t1", "--v"), ("verify", "t2", "--v"),
+         ("verify", "remark", "--v"), ("verify", "t3", "--d"), ("sharpness", "t2", "--d")],
+    )
+    def test_flag_the_family_does_not_take_exits_2(self, capsys, command, family, flag):
+        argv = (command, "--family", family, *_FAMILY_ARGV[family], flag, "6", "--nmax", "2")
+        assert run_cli(capsys, *argv) == (2, "", f"error: {flag} is not used for --family {family}\n")
 
     def test_out_file_appends(self, capsys, tmp_path):
         target = tmp_path / "certs.jsonl"
@@ -856,6 +887,14 @@ class TestParser:
             assert out.startswith(f"usage: congruence-workbench {command} ")
             for name in (*flags, "--output", "--out", "--max-prec"):
                 assert f"  {name} " in out, (command, name)
+
+    def test_family_help_names_each_familys_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-h")
+        line = next(row for row in out.splitlines() if row.startswith("  --family "))
+        assert code == 0
+        for family, flags in (("cw", "--d --ell"), ("t1", "--d --ell"), ("t2", "--ell"), ("t3", "--ell --v"),
+                              ("remark", "--d --ell")):
+            assert f"{family}: {flags}" in line
 
     def test_version_in_process(self, capsys):
         assert run_cli(capsys, "--version") == (0, "congruence-workbench 0.1.0 (fractions)\n", "")

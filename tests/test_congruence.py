@@ -223,6 +223,74 @@ class TestBuilders:
             CongruenceClaim("bogus", -1, 4, 5, 1, 4, 1)
 
 
+# One refusal per hypothesis name of each builder, in the builder's check order: (builder, args,
+# hypothesis, message).  The cw, t1 and t2 messages are pinned byte for byte; None leaves one unpinned.
+_REFUSALS = [
+    (build_cw_claim, (-1, 5, 5, 4), "d_in_family_list", "d = 5 not in (1, 3, 4, 6, 8, 10, 14, 26)"),
+    (build_cw_claim, (Fraction(1, 5), 4, 5, 4), "ell_coprime_to_denominator", "5 divides denominator(1/5)"),
+    (build_cw_claim, (-1, 4, 7, 4), "ell_divides_a_minus_db", "7 does not divide a - d*b = -5"),
+    (build_cw_claim, (-1, 4, 5, 1), "chan_wang_condition", "condition for d = 4 fails at (ell, r) = (5, 1)"),
+    (build_t1_claim, (Fraction(-1, 8), 5, 7, 5), "d_in_family_list", "d = 5 not in (4, 6, 8, 10, 14, 26)"),
+    (build_t1_claim, (Fraction(-1, 8), 6, 13, 5), "d_satisfactory", "13 is not 6-satisfactory"),
+    (build_t1_claim, (Fraction(1, 7), 6, 7, 5), "ell_coprime_to_denominator", "7 divides denominator(1/7)"),
+    (build_t1_claim, (Fraction(-1, 8), 6, 7, 12), "residue_ord_one",
+     "ord_7((24/gcd)*r + d/gcd) = ord_7(49) = 2, need 1"),
+    (build_t1_claim, (6, 6, 7, 5), "alpha_distinct_from_d", "alpha = 6 gives an infinite ord"),
+    (build_t1_claim, (Fraction(1, 8), 6, 7, 5), "alpha_ord_positive", "ord_7(alpha - 6) = 0, need >= 1"),
+    (build_t2_claim, (Fraction(1, 13), 13, 7), "two_satisfactory", "13 == 1 (mod 12) is excluded"),
+    (build_t2_claim, (Fraction(1, 5), 5, 7), "ell_coprime_to_denominator", "5 divides denominator(1/5)"),
+    (build_t2_claim, (Fraction(1, 13), 5, 2), "residue_ord_one", "ord_5((24/gcd)*r + d/gcd) = ord_5(25) = 2, need 1"),
+    (build_t2_claim, (2, 5, 7), "alpha_distinct_from_d", "alpha = 2 gives an infinite ord"),
+    (build_t2_claim, (7, 5, 7), "alpha_ord_at_least_two", "ord_5(alpha - 2) = 1, need >= 2"),
+    (build_t3_claim, (Fraction(29, 2), 5, 0, 7), "v_positive", None),
+    (build_t3_claim, (Fraction(1, 5), 5, 1, 7), "ell_coprime_to_denominator", None),
+    (build_t3_claim, (2, 5, 1, 7), "alpha_distinct_from_d", None),
+    (build_t3_claim, (15, 13, 1, 0), "alpha_ord_equals_v_plus_w", None),
+    (build_t3_claim, (Fraction(29, 2), 5, 1, 0), "residue_ord_equals_w", None),
+    (build_remark_claim, (Fraction(1, 2), 14, 11, 1), "remark_pair", None),
+    (build_remark_claim, (Fraction(1, 5), 14, 5, 4), "ell_coprime_to_denominator", None),
+    (build_remark_claim, (14 + Fraction(25, 13), 14, 5, 5), "residue_ord_one", None),
+    (build_remark_claim, (14, 14, 5, 4), "alpha_distinct_from_d", None),
+    (build_remark_claim, (14 + Fraction(5, 13), 14, 5, 4), "modulus_power_positive", None),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, args, hypothesis, message", _REFUSALS, ids=[f"{b.__name__}-{h}" for b, _, h, _ in _REFUSALS]
+)
+def test_each_hypothesis_refuses_by_name(builder, args, hypothesis, message):
+    with pytest.raises(HypothesisError) as excinfo:
+        builder(*args)
+    assert excinfo.value.hypothesis == hypothesis
+    if message is not None:
+        assert str(excinfo.value) == f"{hypothesis}: {message}"
+
+
+# Two hypotheses fail in each case; the one checked first is named.
+_ORDER = [
+    (build_t1_claim, (Fraction(1, 7), 6, 7, 12), "ell_coprime_to_denominator"),  # and residue_ord_one
+    (build_remark_claim, (Fraction(1, 11), 14, 11, 1), "remark_pair"),  # and ell_coprime_to_denominator
+    (build_t3_claim, (Fraction(1, 5), 5, 0, 7), "v_positive"),  # and ell_coprime_to_denominator
+    (build_cw_claim, (Fraction(1, 5), 5, 5, 4), "d_in_family_list"),  # and ell_coprime_to_denominator
+]
+
+
+@pytest.mark.parametrize("builder, args, hypothesis", _ORDER, ids=[b.__name__ for b, _, _ in _ORDER])
+def test_first_failed_hypothesis_is_named(builder, args, hypothesis):
+    with pytest.raises(HypothesisError) as excinfo:
+        builder(*args)
+    assert excinfo.value.hypothesis == hypothesis
+
+
+def test_remark_and_t3_refusal_messages():
+    with pytest.raises(HypothesisError) as excinfo:
+        build_remark_claim(14 + Fraction(5, 13), 14, 5, 4)
+    assert str(excinfo.value) == "modulus_power_positive: ord_5(alpha - 14) = 1, need >= 2"
+    with pytest.raises(HypothesisError) as excinfo:
+        build_t3_claim(Fraction(29, 2), 5, 1, 0)
+    assert str(excinfo.value) == "residue_ord_equals_w: ord_5((24/gcd)*r + d/gcd) = ord_5(1) = 0, need 1"
+
+
 class TestFindW:
     def test_known_value(self):
         assert find_w(13, 1) == 12
@@ -482,23 +550,34 @@ def test_infinity_never_in_counterexample_ord():
     assert type(counterexample["ord"]) is int and counterexample["value"] != "0/1"
 
 
+_COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
 @pytest.mark.parametrize("copier", ["copy", "deepcopy", "pickle"])
 def test_immutable_values_copy_and_pickle(copier):
-    copiers = {
-        "copy": copy.copy,
-        "deepcopy": copy.deepcopy,
-        "pickle": lambda value: pickle.loads(pickle.dumps(value)),
-    }
     claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
     report = verify_claim(_forced(claim, modulus_power=3), 2)  # holds a claim and a counterexample
     series = qseries.frac_partition_series(Fraction(1, 13), 5)
     for value in (claim, report, series):
-        twin = copiers[copier](value)
+        twin = _COPIERS[copier](value)
         assert twin == value and type(twin) is type(value)
     assert report.status is VerificationStatus.COUNTEREXAMPLE
     # the copy is rebuilt through the constructor, which refuses ell | b as it refuses any claim
     with pytest.raises(HypothesisError, match="ell_coprime_to_denominator"):
-        copiers[copier](_forced(claim, alpha=Fraction(1, 7)))
+        _COPIERS[copier](_forced(claim, alpha=Fraction(1, 7)))
+
+
+@pytest.mark.parametrize("copier", _COPIERS)
+def test_hypothesis_error_copies_and_pickles(copier):
+    with pytest.raises(HypothesisError) as excinfo:
+        build_t1_claim(Fraction(-1, 8), 6, 13, 5)
+    twin = _COPIERS[copier](excinfo.value)
+    assert type(twin) is HypothesisError and twin.hypothesis == "d_satisfactory"
+    assert str(twin) == str(excinfo.value) == "d_satisfactory: 13 is not 6-satisfactory"
 
 
 def _forced(claim, **changes):
