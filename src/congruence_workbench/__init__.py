@@ -4,85 +4,21 @@ Computes coefficients of (q;q)_inf^alpha and of Dedekind-eta powers in
 exact rational arithmetic, verifies prime-power congruence claims over
 coefficient ranges, searches for the parameters those claims need, and
 probes modulus sharpness.  No floating point anywhere.  The API is what
-the commands run.
+the commands run: each library module's ``__all__``, re-exported here.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # first: congruence and cli import it from the package
 
-from .arith import (
-    NotLIntegralError,
-    PreconditionError,
-    format_rational,
-    is_prime,
-    legendre_symbol,
-    padic_ord,
-    reduce_mod_prime_power,
-)
-from .congruence import (
-    ClaimFamily,
-    CongruenceClaim,
-    HypothesisError,
-    VerificationReport,
-    VerificationStatus,
-    build_cw_claim,
-    build_remark_claim,
-    build_t1_claim,
-    build_t2_claim,
-    build_t3_claim,
-    certificate_line,
-    chan_wang_condition,
-    find_residues,
-    find_w,
-    is_d_satisfactory,
-    sharpness_probe,
-    verify_claim,
-)
-from .forms import EtaPowerSpec, eta_power
-from .qseries import (
-    Series,
-    euler_product,
-    extract_progression,
-    frac_partition_series,
-    series_pow_int,
-    series_pow_numerators,
-    series_pow_rational,
-    series_reduce_mod,
-)
+from . import arith, congruence, forms, intexpr, qseries
+from .arith import *
+from .congruence import *
+from .forms import *
+from .intexpr import *
+from .qseries import *
 
-__all__ = [
-    "ClaimFamily",
-    "CongruenceClaim",
-    "EtaPowerSpec",
-    "HypothesisError",
-    "NotLIntegralError",
-    "PreconditionError",
-    "Series",
-    "VerificationReport",
-    "VerificationStatus",
-    "__version__",
-    "build_cw_claim",
-    "build_remark_claim",
-    "build_t1_claim",
-    "build_t2_claim",
-    "build_t3_claim",
-    "certificate_line",
-    "chan_wang_condition",
-    "eta_power",
-    "euler_product",
-    "extract_progression",
-    "find_residues",
-    "find_w",
-    "format_rational",
-    "frac_partition_series",
-    "is_d_satisfactory",
-    "is_prime",
-    "legendre_symbol",
-    "padic_ord",
-    "reduce_mod_prime_power",
-    "series_pow_int",
-    "series_pow_numerators",
-    "series_pow_rational",
-    "series_reduce_mod",
-    "sharpness_probe",
-    "verify_claim",
-]
+__all__ = ["__version__"]
+__all__ += arith.__all__
+__all__ += congruence.__all__
+__all__ += forms.__all__
+__all__ += intexpr.__all__
+__all__ += qseries.__all__

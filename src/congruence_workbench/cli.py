@@ -48,6 +48,7 @@ from .forms import EtaPowerSpec, eta_power
 from .intexpr import ExpressionError, _quote, evaluate_int, evaluate_rational
 from .qseries import (
     _multiplier,
+    _refuse_non_integral,
     euler_product,
     frac_partition_series,
     series_pow_numerators,
@@ -233,6 +234,7 @@ def cmd_coeffs(args) -> int:
     # residues N(n) * D^-1 mod L^K straight from the kernel's int numerators
     ell, k = _parse_mod(args.mod)
     _check_printed_size(prec, ell, k)
+    _refuse_non_integral(alpha.denominator, ell, prec)  # before the kernel runs
     numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
     _emit_values(args, enumerate(series_reduce_mod(numerators, ell, k, denominator).coeffs), str)
     return EXIT_OK

@@ -383,6 +383,14 @@ def _power_residues(alpha, ell: int, k: int, size: int) -> list:
     return power
 
 
+def _refuse_non_integral(b: int, ell: int, prec: int) -> int:
+    """ord_ell(b) for alpha = a/b; refuses an ell that is not prime, and ell | b unless prec is 1 (p_alpha(1) = -alpha)."""
+    ords = padic_ord(b, ell)
+    if ords and prec > 1:
+        raise NotLIntegralError(f"coefficient at exponent 1 is not {ell}-integral", index=1)
+    return ords
+
+
 def series_pow_residues(alpha, ell: int, k: int, prec: int) -> Series:
     """Residues in [0, ell^k) of (q; q)_inf**alpha for exponents 0..prec-1; no exact coefficient is built.
 
@@ -394,9 +402,7 @@ def series_pow_residues(alpha, ell: int, k: int, prec: int) -> Series:
     -N*ord_ell(b) - ord_ell(N!) < 0 for every N >= 1, so exponent 1 is refused unless prec is 1.
     """
     alpha = as_rational(alpha)
-    if padic_ord(alpha.denominator, ell):  # also refuses an ell that is not prime
-        if prec > 1:
-            raise NotLIntegralError(f"coefficient at exponent 1 is not {ell}-integral", index=1)
+    if _refuse_non_integral(alpha.denominator, ell, prec):
         return euler_product(1, prec)
     return Series(_power_residues(alpha, ell, k, prec))
 

@@ -76,6 +76,16 @@ class TestCoeffs:
         want = (0, "0\t1\n", "") if n == 0 else (2, "", "error: coefficient at exponent 1 is not 2-integral\n")
         assert run_cli(capsys, "coeffs", "--alpha", "-1/8", "--n", str(n), "--mod", "2^3") == want
 
+    @pytest.mark.parametrize(
+        "alpha, mod, message",
+        [("-1/8", "4", "valuation prime 4 is not prime"), ("1/7", "7", "coefficient at exponent 1 is not 7-integral")],
+    )
+    def test_mod_refused_before_the_kernel(self, capsys, monkeypatch, alpha, mod, message):
+        from congruence_workbench import cli
+
+        monkeypatch.setattr(cli, "series_pow_numerators", None)  # a kernel run would raise TypeError
+        assert run_cli(capsys, "coeffs", "--alpha", alpha, "--n", "49999", "--mod", mod) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("alpha, mod", [("-1/8", "7^3"), ("1/13", "5^2"), ("97/8", "3"), ("-7/30", "11^2")])
     def test_mod_matches_fraction_residues(self, capsys, alpha, mod):
         code, out, _ = run_cli(capsys, "coeffs", "--alpha", alpha, "--n", "120", "--mod", mod)
@@ -741,6 +751,9 @@ _REFUSED_FAST = {
     "mod-exponent": ("coeffs", "--alpha", "-1", "--n", "3", "--mod", "5^" + "1" * 100_000),
     "residues-size": ("residues", "--d", "2", "--ell", "13", "--ord", "200000", "--count", "5"),
     "mod-size": ("coeffs", "--alpha", "-1/8", "--n", "10", "--mod", "7^300000"),
+    # refused before the exact kernel runs, which takes minutes at this --n
+    "mod-not-prime": ("coeffs", "--alpha", "-1/8", "--n", "49999", "--mod", "4"),
+    "mod-divides-denominator": ("coeffs", "--alpha", "1/7", "--n", "49999", "--mod", "7"),
     # each power passes the 2^20-bit cap; together they overdraw the expression's budget
     "expression-terms": ("find-w", "--ell", "13", "--v", "1+0*(" + "+".join(["7^349000"] * 200) + ")"),
     "expression-factors": ("coeffs", "--alpha", "*".join(["(2^500000)"] * 512), "--n", "0"),
