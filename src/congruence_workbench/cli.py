@@ -5,17 +5,20 @@ hidden seed-examples, which regenerates every built-in fixture).  Exit
 codes: 0 success/verified, 1 counterexample or inconclusive probe,
 2 precondition or usage failure.
 
-Integer flags accept either decimal literals or exact arithmetic
-expressions such as ``(13^12-1)/12``; rational flags accept ``a/b``
-or the same expression syntax.  Integer flags but ``--r``, and L and K
-of ``--mod L^K``, must be below ``arith.PRIME_TEST_BOUND`` in absolute
-value, so every primality answer is exact.  ``--max-prec`` caps the
-series precision of coeffs, eta, verify and sharpness, and the number
-of residues printed.  Their printed size is capped too: residues, eta
-values and exact coeffs values are each charged bits^2 per printed
-number, and a run whose charge passes MAX_POWER_BITS^2 is refused before
-it prints.  A ``--out`` file or a stdout that cannot be written is a
-usage failure (exit 2).
+Each flag value is parsed once, by its kind in _FLAGS, before a handler
+runs, and a command takes only the flags it reads.  Integer flags accept
+decimal literals or exact arithmetic expressions such as
+``(13^12-1)/12``; rational flags accept ``a/b`` or the same expression
+syntax; ``--mod L^K`` is split at its first ``^`` into two integer flags.
+Integer flags but ``--r`` must be below ``arith.PRIME_TEST_BOUND`` in
+absolute value, so every primality answer is exact, and ``--max-prec``
+below MAX_PRECISION_CEILING.  ``--max-prec`` caps the series precision
+of coeffs, eta, verify and sharpness, and the number of residues
+printed.  Their printed size is capped too: residues, eta values and
+exact coeffs values are each charged bits^2 per printed number, and a
+run whose charge passes MAX_POWER_BITS^2 is refused before it prints.
+A ``--out`` file or a stdout that cannot be written is a usage failure
+(exit 2).
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ EXIT_PRECONDITION = 2
 #: the rational type, named in ``--version``
 BACKEND_NAME = "fractions"
 DEFAULT_MAX_PRECISION = 50_000
+#: --max-prec must be below this, so no series kernel allocates lists of more entries
+MAX_PRECISION_CEILING = 10**6
 DEFAULT_N_MAX = 10
 PROG = "congruence-workbench"
 DESCRIPTION = "Exact fractional-partition coefficients, eta powers, and congruence certificates."
@@ -72,39 +77,20 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_alpha(text: str):
-    try:
-        return evaluate_rational(text)
-    except ExpressionError as exc:
-        raise UsageError(f"bad rational --alpha: {exc}")
-
-
-def _parse_int_flag(name: str, text: str) -> int:
-    try:
-        return evaluate_int(text)
-    except ExpressionError as exc:
-        raise UsageError(f"bad integer {name}: {exc}")
-
-
-def _int_flag(text: str) -> int:
-    """Kind of the integer flags: an exact expression below PRIME_TEST_BOUND in absolute value."""
-    value = evaluate_int(text)
-    if abs(value) >= PRIME_TEST_BOUND:
-        raise UsageError(f"must be below {PRIME_TEST_BOUND} in absolute value")
+def _int_flag(text: str, bound: int = PRIME_TEST_BOUND) -> int:
+    """Kind of the integer flags: an exact expression below bound in absolute value."""
+    value = evaluate_int(text)  # looked up at call time, so a wrapper installed on the module attribute runs
+    if abs(value) >= bound:
+        raise UsageError(f"must be below {bound} in absolute value")
     return value
 
 
-def _parse_mod(text: str) -> tuple[int, int]:
+def _mod_flag(text: str) -> tuple[int, int]:
+    """Kind of --mod: L or L^K, split at the first ^, with L and K integer flags, K >= 1 and L^K under the power cap."""
     base, sep, exp = text.partition("^")
-    try:
-        ell = int(base)
-        k = int(exp) if sep else 1
-    except ValueError:
-        raise UsageError(f"--mod expects L or L^K, got {_quote(text)}")
+    ell, k = _int_flag(base), _int_flag(exp) if sep else 1
     if k < 1:
-        raise UsageError("--mod exponent must be >= 1")
-    if max(abs(ell), k) >= PRIME_TEST_BOUND:
-        raise UsageError(f"--mod L^K needs L and K below {PRIME_TEST_BOUND}")
+        raise UsageError(f"exponent K must be >= 1, got {k}")
     check_power_cap(ell, k, "--mod")
     return ell, k
 
@@ -212,27 +198,24 @@ def _series_prec(args) -> int:
 
 def _build_claim(args):
     """Build the --family claim from the flags FAMILY_PARAMS gives it, refusing a missing or an unused one."""
-    alpha = _parse_alpha(args.alpha)
-    r = _parse_int_flag("--r", args.r)
     params = FAMILY_PARAMS[ClaimFamily(args.family)]
     for name in _CLAIM_PARAMS:
         given = getattr(args, name) is not None
         if given != (name in params):
             raise UsageError(f"--{name} is {'not used' if given else 'required'} for --family {args.family}")
     # looked up at call time, so a wrapper installed on the module attribute runs
-    return globals()[f"build_{args.family}_claim"](alpha, *(getattr(args, name) for name in params), r)
+    return globals()[f"build_{args.family}_claim"](args.alpha, *(getattr(args, name) for name in params), args.r)
 
 
 def cmd_coeffs(args) -> int:
-    alpha = _parse_alpha(args.alpha)
-    prec = _series_prec(args)
+    alpha, prec = args.alpha, _series_prec(args)
     if args.mod is None:
         _check_exact_size(alpha, prec)
         # lowest-terms pairs as they stream, with no Fraction and no gcd of two big ints
         _emit_values(args, enumerate(series_pow_pairs(euler_product(1, prec), alpha)), "%d/%d".__mod__)
         return EXIT_OK
     # residues N(n) * D^-1 mod L^K straight from the kernel's int numerators
-    ell, k = _parse_mod(args.mod)
+    ell, k = args.mod
     _check_printed_size(prec, ell, k)
     _refuse_non_integral(alpha.denominator, ell, prec)  # before the kernel runs
     numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
@@ -315,38 +298,44 @@ def cmd_seed_examples(args) -> int:
 _REQUIRED = object()  # the default of a flag that must be given
 _FAMILY_FLAGS = {f.value: " ".join(f"--{name}" for name in params) for f, params in FAMILY_PARAMS.items()}
 
-# The command table.  _FLAGS gives each flag's kind (_int_flag: integer expression, str: text, or a tuple
-# of choices) and help line; COMMANDS gives each command's handler, help line (None: unlisted) and flag defaults.
+# The command table.  _FLAGS gives each flag's kind (a function from the text to the value a handler reads,
+# or a tuple of choices), metavar (None: the choices) and help line; the lambdas look evaluate_* up at call
+# time, as _int_flag does.  COMMANDS gives each command's handler, help line (None: unlisted) and the
+# defaults of the flags it reads, and no others.
 _FLAGS = {
-    "--alpha": (str, "rational exponent, e.g. -1/8"),
-    "--n": (_int_flag, "largest index printed"),
-    "--mod": (str, "reduce mod L^K (L prime)"),
-    "--d": (_int_flag, "eta power"),
-    "--ell": (_int_flag, "prime ell"),
-    "--v": (_int_flag, "modulus exponent v"),
-    "--ord": (_int_flag, "exact ord of each residue"),
-    "--count": (_int_flag, "how many residues"),
-    "--family": (tuple(_FAMILY_FLAGS),
+    "--alpha": (lambda text: evaluate_rational(text), "RATIONAL", "rational exponent, e.g. -1/8"),
+    "--n": (_int_flag, "INT", "largest index printed"),
+    "--mod": (_mod_flag, "L^K", "reduce mod L^K (L prime, K >= 1)"),
+    "--d": (_int_flag, "INT", "eta power"),
+    "--ell": (_int_flag, "INT", "prime ell"),
+    "--v": (_int_flag, "INT", "modulus exponent v"),
+    "--ord": (_int_flag, "INT", "exact ord of each residue"),
+    "--count": (_int_flag, "INT", "how many residues"),
+    "--family": (tuple(_FAMILY_FLAGS), None,
                  "claim family (" + "; ".join(f"{f}: {flags}" for f, flags in _FAMILY_FLAGS.items()) + ")"),
-    "--r": (str, "residue (literal or expression)"),
-    "--nmax": (_int_flag, "range bound"),
-    "--output": (("table", "jsonl"), "value formatting mode"),
-    "--out": (str, "append output lines to this file instead of stdout"),
-    "--max-prec": (_int_flag, "refuse runs needing more series precision, or printing more residues"),
+    "--r": (lambda text: evaluate_int(text), "INT", "residue (any size)"),
+    "--nmax": (_int_flag, "INT", "range bound"),
+    "--output": (("table", "jsonl"), None, "value formatting mode"),
+    "--out": (str, "FILE", "append output lines to this file instead of stdout"),
+    "--max-prec": (lambda text: _int_flag(text, MAX_PRECISION_CEILING), "INT",
+                   "refuse runs needing more series precision, or printing more residues"),
 }
-_SHARED = {"--output": "table", "--out": None, "--max-prec": DEFAULT_MAX_PRECISION}
+_OUT = {"--out": None}  # main reads it, so every command takes it
+_CAPPED = _OUT | {"--max-prec": DEFAULT_MAX_PRECISION}
+_FORMATTED = {"--output": "table"} | _CAPPED
 _CLAIM_PARAMS = tuple(dict.fromkeys(name for params in FAMILY_PARAMS.values() for name in params))  # d, ell, v
 _CLAIM = {"--family": _REQUIRED, "--alpha": _REQUIRED, **dict.fromkeys(f"--{name}" for name in _CLAIM_PARAMS),
           "--r": _REQUIRED, "--nmax": DEFAULT_N_MAX}
 COMMANDS = {
-    "coeffs": (cmd_coeffs, "print p_alpha(0..N)", {"--alpha": _REQUIRED, "--n": _REQUIRED, "--mod": None}),
-    "eta": (cmd_eta, "print nonzero eta-power coefficients a_D(0..N)", {"--d": _REQUIRED, "--n": _REQUIRED}),
-    "verify": (cmd_verify, "emit a certificate line", _CLAIM),
-    "find-w": (cmd_find_w, "smallest w with a_2(ell^w) == 0 mod ell^v", {"--ell": _REQUIRED, "--v": _REQUIRED}),
-    "sharpness": (cmd_sharpness, "search for a sharpness witness", _CLAIM),
+    "coeffs": (cmd_coeffs, "print p_alpha(0..N)", {"--alpha": _REQUIRED, "--n": _REQUIRED, "--mod": None} | _FORMATTED),
+    "eta": (cmd_eta, "print nonzero eta-power coefficients a_D(0..N)",
+            {"--d": _REQUIRED, "--n": _REQUIRED} | _FORMATTED),
+    "verify": (cmd_verify, "emit a certificate line", _CLAIM | _CAPPED),
+    "find-w": (cmd_find_w, "smallest w with a_2(ell^w) == 0 mod ell^v", {"--ell": _REQUIRED, "--v": _REQUIRED} | _OUT),
+    "sharpness": (cmd_sharpness, "search for a sharpness witness", _CLAIM | _FORMATTED),
     "residues": (cmd_residues, "smallest residues with prescribed exact ord",
-                 {"--d": _REQUIRED, "--ell": _REQUIRED, "--ord": _REQUIRED, "--count": 1}),
-    "seed-examples": (cmd_seed_examples, None, {}),
+                 {"--d": _REQUIRED, "--ell": _REQUIRED, "--ord": _REQUIRED, "--count": 1} | _CAPPED),
+    "seed-examples": (cmd_seed_examples, None, _OUT),
 }
 _LISTING = "choose from " + ", ".join(name for name, (_, text, _) in COMMANDS.items() if text)
 
@@ -374,7 +363,7 @@ class CommandParser:
             if command is None and (token == "--" or _is_value(token)):
                 if token not in COMMANDS:
                     raise UsageError(f"invalid command {_quote(token)} ({_LISTING})")
-                command, values = token, COMMANDS[token][2] | _SHARED
+                command, values = token, dict(COMMANDS[token][2])
                 continue
             if token == "--":  # the rest is positional, and no command takes any
                 raise UsageError("unrecognized argument '--'")
@@ -408,9 +397,9 @@ class CommandParser:
             rows = [f"  {name:<10} {text}" for name, (_, text, _) in COMMANDS.items() if text]
             return "\n".join([f"usage: {PROG} COMMAND [flags]", DESCRIPTION, *rows, "  --version  print the version"])
         rows = [f"usage: {PROG} {command} [flags]", *filter(None, [COMMANDS[command][1]])]
-        for name, default in (COMMANDS[command][2] | _SHARED).items():
-            kind, text = _FLAGS[name]
-            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "INT" if kind is _int_flag else "TEXT"
+        for name, default in COMMANDS[command][2].items():
+            kind, metavar, text = _FLAGS[name]
+            metavar = metavar or "{" + ",".join(kind) + "}"
             note = " (required)" if default is _REQUIRED else "" if default is None else f" (default {default})"
             rows.append(f"  {name} {metavar}: {text}{note}")
         return "\n".join(rows)

@@ -1,10 +1,11 @@
 """Exact arithmetic expressions for CLI flags.
 
-Grammar: +, -, *, /, ^ (power), parentheses, decimal integers.  The
-whole expression is evaluated over exact rationals, so division never
-rounds; callers that need an integer use :func:`evaluate_int`, which
-rejects non-integral results.  This lets flags like a t3-family residue
-be written as ``(13^12-1)/12`` instead of a 13-digit literal.
+Grammar: +, -, *, /, ^ (power), unary -, parentheses, ASCII decimal
+integers.  The whole expression is evaluated over exact rationals, so
+division never rounds; callers that need an integer use
+:func:`evaluate_int`, which rejects non-integral results.  This lets
+flags like a t3-family residue be written as ``(13^12-1)/12`` instead of
+a 13-digit literal.
 
 Each value is sized before it is built, by the bits of its larger part:
 the sum of its operands' part sizes (plus one for a sum's numerator), or
@@ -43,7 +44,7 @@ def _quote(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([()+\-*/^]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([()+\-*/^]))", re.ASCII)  # no other script's digits
 
 
 def _tokenize(text: str) -> list[str]:
@@ -137,9 +138,9 @@ class _Parser:
 
     def factor(self):
         sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
+        while self.peek() == "-":
+            self.take()
+            sign = -sign
         return sign * self.power()
 
     def power(self):

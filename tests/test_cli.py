@@ -13,7 +13,7 @@ import pytest
 
 import congruence_workbench
 from congruence_workbench import qseries
-from congruence_workbench.cli import main
+from congruence_workbench.cli import _FLAGS, main
 from congruence_workbench.qseries import Series, euler_product
 
 from oracles import binomial_series_power, naive_euler_product, pow_rational_by_fractions
@@ -55,6 +55,23 @@ class TestCoeffs:
         assert code == 0
         assert out.splitlines()[4] == "4\t0"
         assert out.splitlines()[9] == "9\t0"
+
+    # L and K follow the integer-flag grammar: no "_", no "+" sign, ASCII digits only, and any expression
+    @pytest.mark.parametrize("mod", ["1_1", "+5", "\u0665", "5^+1", "\u0665^1"])
+    def test_mod_outside_the_integer_grammar_exits_2(self, capsys, mod):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "3", "--mod", mod)
+        assert code == 2 and out == ""
+        assert err.startswith("error: argument --mod: ") and len(err.splitlines()) == 1
+
+    def test_mod_expressions(self, capsys):
+        want = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "30", "--mod", "7^3")
+        assert want[0] == 0 and len(want[1].splitlines()) == 31
+        for mod in ("7^(1+2)", "(2*4-1)^3", "7^2^1*3-3"):
+            assert run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "30", "--mod", mod) == want, mod
+
+    def test_mod_exponent_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "3", "--mod", "5^(1-1)")
+        assert (code, out, err) == (2, "", "error: argument --mod: exponent K must be >= 1, got 0\n")
 
     def test_not_l_integral_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--alpha", "1/5", "--n", "3", "--mod", "5^1")
@@ -372,12 +389,23 @@ class TestVerify:
         assert json.loads(lines[0])["family"] == "cw"
 
 
+_EVERY_COMMAND = {
+    "coeffs": ("coeffs", "--alpha", "-1/8", "--n", "200"),
+    "eta": ("eta", "--d", "2", "--n", "13"),
+    "verify": ("verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4", "--nmax", "3"),
+    "find-w": ("find-w", "--ell", "13", "--v", "1"),
+    "sharpness": ("sharpness", "--family", "t2", "--alpha", "1/13", "--ell", "5", "--r", "7", "--nmax", "10"),
+    "residues": ("residues", "--d", "2", "--ell", "13", "--ord", "12"),
+    "seed-examples": ("seed-examples",),
+}
+
+
 class TestOutFile:
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        argv = ["coeffs", "--alpha", "-1/8", "--n", "200"]
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND.values(), ids=_EVERY_COMMAND.keys())
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
         code, stdout, _ = run_cli(capsys, *argv)
-        assert code == 0
-        target = tmp_path / "coeffs.txt"
+        assert code == 0 and stdout
+        target = tmp_path / "out.txt"
         code, out, _ = run_cli(capsys, *argv, "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_bytes() == stdout.encode("utf-8")
@@ -712,13 +740,13 @@ def test_bad_mod_message_is_short(capsys):
     assert "(100000 characters)" in err
     code, _, err = run_cli(capsys, "coeffs", "--alpha", "-1", "--n", "3", "--mod", "5^x")
     assert code == 2
-    assert err == "error: --mod expects L or L^K, got '5^x'\n"
+    assert err == "error: argument --mod: unexpected character 'x' in 'x'\n"
 
 
 def test_short_bad_expression_message_quotes_it_whole(capsys):
     code, _, err = run_cli(capsys, "coeffs", "--alpha", "1/(2-2)", "--n", "3")
     assert code == 2
-    assert err == "error: bad rational --alpha: division by zero in '1/(2-2)'\n"
+    assert err == "error: argument --alpha: division by zero in '1/(2-2)'\n"
 
 
 class TestIntegerFlags:
@@ -747,6 +775,11 @@ _REFUSED_FAST = {
     "long-ell": ("find-w", "--ell", "1" + "0" * 100_000, "--v", "1"),
     "long-d": ("verify", "--family", "cw", "--alpha", "-1", "--d", "1" + "0" * 100_000, "--ell", "5", "--r", "4"),
     "max-prec": ("eta", "--d", "2", "--n", "3", "--max-prec", "10^30"),
+    # below the flag bound, but above the --max-prec ceiling: the claim checks' series lists would not fit
+    "max-prec-overflow": ("verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4",
+                          "--nmax", "10^20", "--max-prec", "10^24"),
+    "max-prec-memory": ("verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4",
+                        "--nmax", "2*10^11", "--max-prec", "10^13"),
     "mod-prime": ("coeffs", "--alpha", "-1", "--n", "3", "--mod", "3317044064679887385961981"),
     "mod-exponent": ("coeffs", "--alpha", "-1", "--n", "3", "--mod", "5^" + "1" * 100_000),
     "residues-size": ("residues", "--d", "2", "--ell", "13", "--ord", "200000", "--count", "5"),
@@ -764,14 +797,43 @@ _REFUSED_FAST = {
 }
 
 
+# A refusal runs in a child process with 1 GiB of address space that is killed after 2 s, so one that
+# regresses into its kernel fails fast, and is not left to run for minutes at gigabytes.  The child
+# prints how long main took after main's own output.
+_CAPPED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from congruence_workbench.cli import main
+start = time.perf_counter()
+try:
+    code = main(sys.argv[1:])
+finally:
+    print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def _refusal(*argv):
+    """(exit code, stdout, stderr, seconds in main) of the CLI on argv in a capped child process."""
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *argv], capture_output=True, timeout=2)
+    out, _, seconds = proc.stdout.decode().rstrip("\n").rpartition("\n")
+    return proc.returncode, out, proc.stderr.decode(), float(seconds)
+
+
 @pytest.mark.parametrize("argv", _REFUSED_FAST.values(), ids=_REFUSED_FAST.keys())
-def test_refused_fast_with_a_short_message(capsys, argv):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
+def test_refused_fast_with_a_short_message(argv):
+    code, out, err, seconds = _refusal(*argv)
+    assert code == 2 and out == "", err
+    assert seconds < 1.0
     assert len(err.encode()) < 1024
     assert "error:" in err.splitlines()[-1]
+
+
+def test_max_prec_ceiling(capsys):
+    argv = ("eta", "--d", "2", "--n", "3", "--max-prec")
+    assert run_cli(capsys, *argv, "10^6-1")[0] == 0
+    want = "error: argument --max-prec: must be below 1000000 in absolute value\n"
+    assert run_cli(capsys, *argv, "10^6") == (2, "", want)
 
 
 def test_printed_size_bound():
@@ -795,11 +857,10 @@ _EXACT_OVER_BUDGET = {
 
 
 @pytest.mark.parametrize("alpha, n", _EXACT_OVER_BUDGET.values(), ids=_EXACT_OVER_BUDGET.keys())
-def test_exact_coeffs_over_budget_refused_fast(capsys, alpha, n):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "coeffs", "--alpha", alpha, "--n", n)
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
+def test_exact_coeffs_over_budget_refused_fast(alpha, n):
+    code, out, err, seconds = _refusal("coeffs", "--alpha", alpha, "--n", n)
+    assert code == 2 and out == "", err
+    assert seconds < 1.0
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "cap" in err
 
 
@@ -821,9 +882,9 @@ _PARSE_REFUSALS = {
     "unknown-flag-before-command": ("--" + _LONG, *_FIND_W),
     "flag-without-value": ("find-w", "--ell", "13", "--v", "--" + _LONG),
     "bad-family": ("verify", "--family", _LONG, "--alpha", "-1", "--d", "4", "--ell", "5", "--r", "4"),
-    "bad-output": (*_FIND_W, "--output", _LONG),
+    "bad-output": ("eta", "--d", "2", "--n", "3", "--output", _LONG),
     "missing-required": ("verify", "--alpha", _LONG, "--d", "4"),
-    "abbreviation": (*_FIND_W, "--max=" + "9" * 100_000),
+    "abbreviation": ("eta", "--d", "2", "--n", "3", "--max=" + "9" * 100_000),
 }
 
 
@@ -836,16 +897,19 @@ def test_parse_refusal_is_one_short_line(capsys, argv):
     assert len(err.encode()) < 200
 
 
-# every flag of each command's table row, the shared ones included
+# every flag of each command's table row: its own, then the shared ones that it reads
+_SHARED = ("--output", "--out", "--max-prec")
+_CLAIM_FLAGS = ("--family", "--alpha", "--d", "--ell", "--v", "--r", "--nmax")
 _COMMAND_FLAGS = {
-    "coeffs": ("--alpha", "--n", "--mod"),
-    "eta": ("--d", "--n"),
-    "verify": ("--family", "--alpha", "--d", "--ell", "--v", "--r", "--nmax"),
-    "find-w": ("--ell", "--v"),
-    "sharpness": ("--family", "--alpha", "--d", "--ell", "--v", "--r", "--nmax"),
-    "residues": ("--d", "--ell", "--ord", "--count"),
-    "seed-examples": (),
+    "coeffs": ("--alpha", "--n", "--mod", *_SHARED),
+    "eta": ("--d", "--n", *_SHARED),
+    "verify": (*_CLAIM_FLAGS, "--out", "--max-prec"),
+    "find-w": ("--ell", "--v", "--out"),
+    "sharpness": (*_CLAIM_FLAGS, *_SHARED),
+    "residues": ("--d", "--ell", "--ord", "--count", "--out", "--max-prec"),
+    "seed-examples": ("--out",),
 }
+_UNREAD_SHARED = [(command, flag) for command, flags in _COMMAND_FLAGS.items() for flag in _SHARED if flag not in flags]
 _T1 = ("verify", "--family", "t1", "--d", "6", "--ell", "7", "--r", "5", "--nmax", "4")
 
 
@@ -861,8 +925,38 @@ class TestParser:
         args = build_parser().parse_args(
             ["verify", "--family", "t3", "--alpha", "-1/8", "--ell", "13", "--v", "1", "--r", "-(13^12-1)/12"]
         )
-        assert args.alpha == "-1/8" and args.r == "-(13^12-1)/12" and args.v == 1
-        assert args.nmax == 10 and args.max_prec == 50_000 and args.output == "table" and args.out is None
+        assert args.alpha == Fraction(-1, 8) and args.r == -(13**12 - 1) // 12 and args.v == 1
+        assert args.nmax == 10 and args.max_prec == 50_000 and args.out is None and not hasattr(args, "output")
+
+    def test_values_parsed_once_through_the_module_attributes(self, monkeypatch):
+        # perfbench/tracer.py wraps cli.evaluate_rational and cli.evaluate_int, so every flag must reach them
+        from congruence_workbench import cli
+
+        seen = []
+
+        def recording(name, original):
+            def wrapper(text):
+                seen.append((name, text))
+                return original(text)
+
+            return wrapper
+
+        for name in ("evaluate_rational", "evaluate_int"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        args = cli.build_parser().parse_args(["verify", "--family", "cw", "--alpha", "-1", "--d", "4", "--ell", "5",
+                                              "--r", "4", "--nmax", "3", "--max-prec", "99"])
+        assert seen == [("evaluate_rational", "-1"), *(("evaluate_int", text) for text in ("4", "5", "4", "3", "99"))]
+        assert (args.alpha, args.d, args.ell, args.r, args.nmax, args.max_prec) == (-1, 4, 5, 4, 3, 99)
+        seen.clear()
+        args = cli.build_parser().parse_args(["coeffs", "--alpha", "1/8", "--n", "3", "--mod", "7^(1+1)"])
+        assert seen == [("evaluate_rational", "1/8"), ("evaluate_int", "3"), ("evaluate_int", "7"),
+                        ("evaluate_int", "(1+1)")]
+        assert (args.alpha, args.n, args.mod) == (Fraction(1, 8), 3, (7, 2))
+
+    @pytest.mark.parametrize("command, flag", _UNREAD_SHARED, ids=[" ".join(pair) for pair in _UNREAD_SHARED])
+    def test_shared_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        argv = (*_EVERY_COMMAND[command], flag, "jsonl" if flag == "--output" else "5")
+        assert run_cli(capsys, *argv) == (2, "", f"error: unrecognized argument '{flag}'\n")
 
     def test_repeated_flag_keeps_last_value(self, capsys):
         code, out, _ = run_cli(capsys, *_T1, "--alpha", "-1/8", "--nmax", "9", "--nmax", "3")
@@ -873,7 +967,7 @@ class TestParser:
         [
             ("coeffs", "--alpha", "1", "--out", "--n", "3"),
             (*_T1[:-2], "--alpha", "-1/8", "--n", "5"),  # --n abbreviated --nmax
-            ("find-w", "--ell", "13", "--v", "1", "--max-p", "5"),
+            ("eta", "--d", "2", "--n", "3", "--max-p", "5"),
             ("find-w", "--ell", "13", "--v", "1", "--", "-h"),
             ("--vers",),
         ],
@@ -898,8 +992,8 @@ class TestParser:
             code, out, err = run_cli(capsys, command, "--bogus", flag)
             assert code == 0 and err == ""
             assert out.startswith(f"usage: congruence-workbench {command} ")
-            for name in (*flags, "--output", "--out", "--max-prec"):
-                assert f"  {name} " in out, (command, name)
+            for name in (*_FLAGS, "--bogus"):
+                assert (f"  {name} " in out) == (name in flags), (command, name)
 
     def test_family_help_names_each_familys_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "-h")

@@ -10,6 +10,15 @@ def test_literals_and_signs():
     assert evaluate_int("42") == 42
     assert evaluate_int("-7") == -7
     assert evaluate_int("--7") == 7
+    assert evaluate_int(" 2 * 3") == 6
+
+
+# ASCII digits, ASCII spaces and "-" signs only: int() would read each of these as a number (an Arabic-Indic
+# and a fullwidth 5, a 5 after an em space)
+@pytest.mark.parametrize("text", ["+5", "2*+3", "1_1", "\u0665", "\uff15", "\u2003" + "5"])
+def test_only_ascii_digits_and_minus_signs(text):
+    with pytest.raises(ExpressionError, match="unexpected"):
+        evaluate_rational(text)
 
 
 def test_precedence():
