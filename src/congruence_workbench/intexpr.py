@@ -1,11 +1,11 @@
 """Exact arithmetic expressions for CLI flags.
 
 Grammar: +, -, *, /, ^ (power), unary -, parentheses, ASCII decimal
-integers.  The whole expression is evaluated over exact rationals, so
-division never rounds; callers that need an integer use
-:func:`evaluate_int`, which rejects non-integral results.  This lets
-flags like a t3-family residue be written as ``(13^12-1)/12`` instead of
-a 13-digit literal.
+integers, with ASCII whitespace skipped around any token.  The whole
+expression is evaluated over exact rationals, so division never rounds;
+callers that need an integer use :func:`evaluate_int`, which rejects
+non-integral results.  This lets flags like a t3-family residue be
+written as ``(13^12-1)/12`` instead of a 13-digit literal.
 
 Each value is sized before it is built, by the bits of its larger part:
 the sum of its operands' part sizes (plus one for a sum's numerator), or
@@ -44,7 +44,7 @@ def _quote(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([()+\-*/^]))", re.ASCII)  # no other script's digits
+_TOKEN = re.compile(r"\s+|(\d+)|([()+\-*/^])", re.ASCII)  # no other script's digits or spaces
 
 
 def _tokenize(text: str) -> list[str]:
@@ -53,8 +53,9 @@ def _tokenize(text: str) -> list[str]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ExpressionError(f"unexpected character {text[pos:].lstrip()[:1]!r} in {_quote(text)}")
-        tokens.append(m.group(1) or m.group(2))
+            raise ExpressionError(f"unexpected character {text[pos]!r} in {_quote(text)}")
+        if m.lastindex:  # not a run of ASCII whitespace
+            tokens.append(m[m.lastindex])
         pos = m.end()
     return tokens
 

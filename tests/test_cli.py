@@ -574,9 +574,9 @@ def test_t1_sharpness_mod_7_to_the_301_finishes():
     assert proc.stdout.startswith(b"0\t") and proc.stdout.endswith(b"/1\tord=300\n")
 
 
-def _run_subprocess(args):
+def _run_subprocess(args, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "congruence_workbench", *args], capture_output=True, check=False
+        [sys.executable, "-m", "congruence_workbench", *args], capture_output=True, check=False, env=env
     )
 
 
@@ -585,6 +585,14 @@ def _run_shell(command: str):
     return subprocess.run(
         f"{shlex.quote(sys.executable)} -m congruence_workbench {command}", shell=True, capture_output=True
     )
+
+
+# Without PYTHONUNBUFFERED, a child's stdout is block-buffered when it is not a terminal.
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_FAKE_MAIN = (
+    "import atexit, sys, congruence_workbench.cli as c; atexit.register(print, 'teardown', file=sys.stderr); "
+    "c.main = lambda: print('kept', end='') or {code}; c.run()"
+)
 
 
 # Start-up probes run with -S: without site, no .pth file imports anything before the
@@ -680,6 +688,45 @@ class TestDeterminism:
                 stderr=read_only,
             )
         assert proc.returncode == 2 and proc.stdout == b""
+
+    def test_piped_stdout_matches_main(self, capsys, tmp_path):
+        # the console entry exits without interpreter teardown, after flushing what main printed;
+        # stdout is block-buffered here, so a lost flush would show as a short stdout
+        argv = ["coeffs", "--alpha", "1/13", "--n", "1100"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(out) > 1_000_000
+        proc = _run_subprocess(argv, _BUFFERED)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.encode("utf-8")
+        target = tmp_path / "out.txt"
+        proc = _run_subprocess([*argv, "--out", str(target)], _BUFFERED)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_run_flushes_then_skips_teardown(self):
+        # an atexit handler runs only at interpreter teardown; "kept" sits unflushed in a block buffer
+        proc = subprocess.run([sys.executable, "-c", _FAKE_MAIN.format(code=3)], capture_output=True, env=_BUFFERED)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"kept", b"")
+
+    def test_failed_flush_falls_back_to_the_interpreter_exit(self):
+        # the reader is gone before the child writes, so run()'s flush fails and teardown runs and reports
+        proc = subprocess.Popen([sys.executable, "-c", _FAKE_MAIN.format(code=0)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_BUFFERED)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 120  # the interpreter's code for a stdout it could not flush at exit
+        assert err.startswith("teardown\n") and "BrokenPipeError" in err
+
+    def test_exception_escaping_main_exits_1_with_a_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import congruence_workbench.cli as c; c.main = lambda: 1/0; c.run()"],
+            capture_output=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.splitlines()[-1] == "ZeroDivisionError: division by zero"
 
     def test_version_names_fractions(self):
         proc = _run_subprocess(["--version"])
@@ -977,6 +1024,12 @@ class TestParser:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    # only an ASCII digit or "(" after "-" makes a value: the grammar reads no other script's digits
+    @pytest.mark.parametrize("value", ["-\u0665", "-\uff15"])
+    def test_dash_non_ascii_digit_is_not_a_value(self, capsys, value):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", value, "--n", "3")
+        assert (code, out, err) == (2, "", "error: argument --alpha: expected one argument\n")
 
     def test_missing_flags_named_together(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--alpha", "-1", "--d", "4")

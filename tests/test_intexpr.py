@@ -11,6 +11,8 @@ def test_literals_and_signs():
     assert evaluate_int("-7") == -7
     assert evaluate_int("--7") == 7
     assert evaluate_int(" 2 * 3") == 6
+    assert evaluate_int("5 ") == 5
+    assert evaluate_int("5\t") == 5
 
 
 # ASCII digits, ASCII spaces and "-" signs only: int() would read each of these as a number (an Arabic-Indic
@@ -19,6 +21,14 @@ def test_literals_and_signs():
 def test_only_ascii_digits_and_minus_signs(text):
     with pytest.raises(ExpressionError, match="unexpected"):
         evaluate_rational(text)
+
+
+def test_unexpected_character_is_quoted():
+    # the first character that no token starts with, never an empty quote
+    for text, char in [("5 x", "x"), ("\u2003" + "5", "\u2003"), ("1 +5\u2003", "\u2003")]:
+        with pytest.raises(ExpressionError) as info:
+            evaluate_rational(text)
+        assert str(info.value) == f"unexpected character {char!r} in {text!r}"
 
 
 def test_precedence():
