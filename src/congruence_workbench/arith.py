@@ -100,8 +100,9 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(ell: int, what: str = "modulus"):
+    """The one primality refusal: "<what> <ell> is not prime", or "<ell> is not prime" when what is empty."""
     if not is_prime(ell):
-        raise PreconditionError(f"{what} {ell} is not prime")
+        raise PreconditionError(f"{what} {ell} is not prime".lstrip())
 
 
 def _int_ord(n: int, ell: int) -> int:

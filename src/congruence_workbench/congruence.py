@@ -30,14 +30,15 @@ from typing import NamedTuple
 from . import __version__ as _artifact_version
 from .arith import (
     PreconditionError,
+    _require_prime,
     as_rational,
     check_power_cap,
     format_rational,
-    is_prime,
     legendre_symbol,
     padic_ord,
 )
 from .qseries import (  # series_reduce_mod stays bound here: perfbench/tracer.py patches it
+    _Value,
     extract_progression,
     frac_partition_series,
     series_pow_residues,
@@ -112,12 +113,8 @@ class PrecisionCapExceeded(PreconditionError):
     """The requested verification needs more series precision than allowed."""
 
 
-class CongruenceClaim:
-    """p_alpha(ell^e * n + r) == 0 (mod ell^modulus_power) for all n >= 0.
-
-    Immutable; equal claims (same type and fields) hash alike.  Copies and
-    pickles are rebuilt through the constructor, which checks them again.
-    """
+class CongruenceClaim(_Value):
+    """p_alpha(ell^e * n + r) == 0 (mod ell^modulus_power) for all n >= 0; equal when every field is."""
 
     __slots__ = ("family", "alpha", "d", "ell", "e", "r", "modulus_power")
 
@@ -128,33 +125,15 @@ class CongruenceClaim:
         family = ClaimFamily(family)
         for name, value in zip(self.__slots__, (family, alpha, d, ell, e, r, modulus_power)):
             object.__setattr__(self, name, value)
-        if not is_prime(ell):
-            raise PreconditionError(f"claim prime {ell} is not prime")
+        _require_prime(ell, "claim prime")
         if e < 1 or modulus_power < 1:
             raise PreconditionError("claim requires e >= 1 and modulus_power >= 1")
         if not 0 <= r < ell**e:
             raise PreconditionError(f"claim residue r = {r} outside [0, {ell}^{e})")
         _check_denominator(alpha, ell)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CongruenceClaim is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CongruenceClaim is immutable")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def _values(self) -> tuple:
+    def _args(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -200,8 +179,7 @@ def _inert(d: int, ell: int) -> bool:
 
 def is_d_satisfactory(d: int, ell: int) -> bool:
     """Residue-class conditions under which a_d vanishes along ell-multiples."""
-    if not is_prime(ell):
-        raise PreconditionError(f"{ell} is not prime")
+    _require_prime(ell, "")
     if d == 2:
         return ell % 12 != 1
     if d in CM_D:
@@ -211,8 +189,7 @@ def is_d_satisfactory(d: int, ell: int) -> bool:
 
 def chan_wang_condition(d: int, ell: int, r: int) -> bool:
     """The numbered hypothesis on (d, ell, r) for the prime-modulus family."""
-    if not is_prime(ell):
-        raise PreconditionError(f"{ell} is not prime")
+    _require_prime(ell, "")
     if r < 0:
         raise PreconditionError("r must be nonnegative")
     if d in (1, 3) and ell == 2:
@@ -319,8 +296,7 @@ def find_w(ell: int, v: int) -> int:
     """
     if v < 1:
         raise PreconditionError("find_w requires v >= 1")
-    if not is_prime(ell):
-        raise PreconditionError(f"{ell} is not prime")
+    _require_prime(ell, "")
     if ell % 12 != 1:
         return 1
     check_power_cap(ell, v, f"find_w({ell}, {v}) + 1")
@@ -358,8 +334,7 @@ def find_residues(d: int, ell: int, target_ord: int, count: int) -> list[int]:
     """The count smallest r >= 0 with ord_ell((24/g)*r + d/g) exactly target_ord."""
     if target_ord < 1 or count < 1:
         raise PreconditionError("find_residues requires target_ord >= 1 and count >= 1")
-    if not is_prime(ell):
-        raise PreconditionError(f"{ell} is not prime")
+    _require_prime(ell, "")
     g = gcd(d, 24)
     m, c = 24 // g, d // g
     if gcd(ell, m) != 1:

@@ -23,9 +23,9 @@ D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
 :func:`series_pow_numerators` returns that output as it is, the int
-numerators and D.  ``coeffs --mod`` reads those: :func:`series_reduce_mod`
-takes int numerators only and reduces N(n) * D^-1 mod ell^k with one
-multiplication each, so it builds no ``Fraction``.
+numerators and D.  ``coeffs --mod`` reads those at a large L^K:
+:func:`series_reduce_mod` takes int numerators only and reduces
+N(n) * D^-1 mod ell^k with one multiplication each, so no ``Fraction``.
 Exact values have one reduction path, :func:`series_pow_pairs`: it
 divides N(n) by D / D(n), the closed form above, and strips the factor
 left in common with gcds against b, never a gcd of two big ints unless
@@ -71,7 +71,32 @@ __all__ = [
 ]
 
 
-class Series:
+class _Value:
+    """An immutable value: equal only to one of its own class with equal ``_args()``, its constructor's arguments.
+
+    It hashes by them, and copies and pickles are rebuilt through the constructor, which checks them again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self):
+        return hash(self._args())
+
+
+class Series(_Value):
     """Immutable truncated power series: coefficients for 0..prec-1, prec = len(coeffs)."""
 
     __slots__ = ("coeffs", "prec")
@@ -81,14 +106,8 @@ class Series:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "prec", len(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Series is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
+    def _args(self) -> tuple:
+        return (self.coeffs,)
 
     def coeff(self, n: int):
         """Coefficient at exponent n; 0 for n < 0 by convention."""
@@ -110,14 +129,6 @@ class Series:
         if scalar == 1:
             return self
         return Series([scalar * c for c in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __neg__(self):
         return Series([-c for c in self.coeffs])
@@ -342,10 +353,13 @@ def _inverse_mod(x: list, mod: int) -> list:
     return y
 
 
-def _binomial_residues(g, ell: int, k: int) -> list:
-    """binom(g, t) mod ell^k for t = 1..I, where I is the last t < k with ord_ell binom(g, t) + t < k."""
+def _binomial_residues(g, ell: int, k: int, size: int) -> list:
+    """binom(g, t) mod ell^k for t = 1..I, where I is the last t < min(k, size) with ord_ell binom(g, t) + t < k.
+
+    (T - 1)**t has no term below q^t, so no t >= size reaches the first size terms.
+    """
     last = ords = 0
-    for t in range(1, k):
+    for t in range(1, min(k, size)):
         if g == t - 1:  # binom(g, t) = 0 from here on
             break
         ords += padic_ord(g - t + 1, ell) - padic_ord(t, ell)
@@ -369,7 +383,7 @@ def _power_residues(alpha, ell: int, k: int, size: int) -> list:
     power[::ell] = _power_residues(g, ell, k, lower)
     if a:
         power = _mul_mod(power, _pow_mod(base, a, mod), mod)
-    binomials = _binomial_residues(g, ell, k)
+    binomials = _binomial_residues(g, ell, k, size)
     if binomials:
         inverse = [0] * size
         inverse[::ell] = _inverse_mod(base[:lower], mod)

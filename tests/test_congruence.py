@@ -210,6 +210,14 @@ class TestBuilders:
         with pytest.raises(HypothesisError):
             build_remark_claim(Fraction(1, 2), 14, 11, 1)
 
+    @pytest.mark.parametrize(
+        "check, args",
+        [(is_d_satisfactory, (6, 9)), (chan_wang_condition, (1, 9, 0)), (find_w, (9, 1)), (find_residues, (6, 9, 1, 1))],
+    )
+    def test_nonprime_refusal_names_only_the_number(self, check, args):
+        with pytest.raises(PreconditionError, match="^9 is not prime$"):
+            check(*args)
+
     def test_claim_type_validates(self):
         with pytest.raises(PreconditionError, match="^claim prime 6 is not prime$"):
             CongruenceClaim(ClaimFamily.CW, -1, 4, 6, 1, 4, 1)

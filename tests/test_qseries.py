@@ -77,6 +77,13 @@ class TestRingOps:
         assert s.coeffs == (1, 2) and s.prec == 2
         assert s == Series([1, 2]) and hash(s) == hash(Series([1, 2]))
 
+    def test_never_equals_its_coeffs_tuple(self):
+        # the Series twin of CongruenceClaim's rule: a value equals only a value of its own class
+        s = Series([1, 2])
+        for other in (s.coeffs, (s.coeffs,)):
+            assert s != other and other != s
+            assert not s == other and not other == s
+
 
 class TestPowInt:
     def test_power_zero(self):
@@ -391,10 +398,11 @@ class TestResidueKernel:
                 assert series_pow_residues(alpha, ell, k, prec) == _exact_residues(alpha, ell, k, prec), (alpha, prec)
 
     @pytest.mark.parametrize("ell", [2, 3, 7])
-    @pytest.mark.parametrize("k", [30, 100])
+    @pytest.mark.parametrize("k", [30, 100, 500])
     def test_matches_exact_residues_at_large_k(self, ell, k):
         # 6 + ell^v * y puts ord_ell of each level's g on both sides of k - 1, below which the
-        # binomial sum for T**g has terms past t = 0; a generic alpha needs about k of them
+        # binomial sum for T**g has terms past t = 0; a generic alpha needs about k of them, but
+        # (T - 1)**t starts at q^t, so none past t = prec - 1 (k = 2000 took 3 s at prec = 2)
         b = 9 if ell == 2 else 8
         alphas = [Fraction(-5, b), Fraction(ell ** (k // 2), b)] + [6 + ell**v * y for v in (k - 2, k - 1, k, k + 1) for y in (1, Fraction(-3, b))]
         for alpha in alphas:
