@@ -56,7 +56,6 @@ from .qseries import (
     frac_partition_series,
     series_pow_numerators,
     series_pow_pairs,
-    series_pow_residues,
     series_reduce_mod,
 )
 
@@ -215,17 +214,12 @@ def cmd_coeffs(args) -> int:
         # lowest-terms pairs as they stream, with no Fraction and no gcd of two big ints
         _emit_values(args, enumerate(series_pow_pairs(euler_product(1, prec), alpha)), "%d/%d".__mod__)
         return EXIT_OK
+    # residues N(n) * D^-1 mod L^K straight from the kernel's int numerators
     ell, k = args.mod
     _check_printed_size(prec, ell, k)
     _refuse_non_integral(alpha.denominator, ell, prec)  # before the kernel runs
-    # the ell-adic kernel up to K * bits(L) = 9, or 4 for an integer alpha, whose exact numerators stay small:
-    # its cost grows with K, and above that boundary the exact kernel won some measured cases (README's table)
-    if k * ell.bit_length() <= (9 if alpha.denominator > 1 else 4):
-        residues = series_pow_residues(alpha, ell, k, prec)
-    else:  # residues N(n) * D^-1 mod L^K straight from the exact kernel's int numerators
-        numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
-        residues = series_reduce_mod(numerators, ell, k, denominator)
-    _emit_values(args, enumerate(residues.coeffs), str)
+    numerators, denominator = series_pow_numerators(euler_product(1, prec), alpha)
+    _emit_values(args, enumerate(series_reduce_mod(numerators, ell, k, denominator).coeffs), str)
     return EXIT_OK
 
 

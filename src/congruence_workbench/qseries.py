@@ -23,9 +23,9 @@ D(n) = b^n * prod_{p | b} p^ord_p(n!), so the recurrence runs on plain
 int numerators over the common denominator D(prec-1), and every step
 ends in one exact division by b*n (checked; a remainder raises).
 :func:`series_pow_numerators` returns that output as it is, the int
-numerators and D.  ``coeffs --mod`` reads those at a large L^K:
-:func:`series_reduce_mod` takes int numerators only and reduces
-N(n) * D^-1 mod ell^k with one multiplication each, so no ``Fraction``.
+numerators and D.  ``coeffs --mod`` reads those: :func:`series_reduce_mod`
+takes int numerators only and reduces N(n) * D^-1 mod ell^k with one
+multiplication each, so it builds no ``Fraction``.
 Exact values have one reduction path, :func:`series_pow_pairs`: it
 divides N(n) by D / D(n), the closed form above, and strips the factor
 left in common with gcds against b, never a gcd of two big ints unless
