@@ -42,6 +42,7 @@ from .congruence import (  # every build_<family>_claim stays bound here: _build
     build_t2_claim,
     build_t3_claim,
     certificate_line,
+    certificate_record,
     find_residues,
     find_w,
     sharpness_probe,
@@ -284,7 +285,7 @@ def _seed_example_records():
     )
     for label, claim, n_max in claims:
         report = verify_claim(claim, n_max, max_precision=DEFAULT_MAX_PRECISION)
-        yield json.loads(certificate_line(report)) | {"fixture": label}
+        yield certificate_record(report) | {"fixture": label}
     yield {"fixture": "find-w", "ell": 13, "v": 1, "w": find_w(13, 1)}
     yield {"fixture": "t3-residue", "d": 2, "ell": 13, "ord": 12, "r": find_residues(2, 13, 12, 1)[0]}
 

@@ -1,12 +1,12 @@
-"""Truncated formal power series over an exact coefficient ring.
+"""Truncated formal power series, exact, as immutable coefficient tuples.
 
-A :class:`Series` is a tuple of dense coefficients for exponents
-0..prec-1; prec is the tuple's length.
-Coefficients are plain ints or ``fractions.Fraction`` values (the
-arithmetic works over any exact ring); all operations are exact.
-Binary operations truncate to the shorter operand, and nothing ever
-pads precision with fabricated zeros.  The one change of shape is
-:func:`extract_progression`, which reads a progression out of a series.
+A :class:`Series` is an immutable tuple of dense coefficients for
+exponents 0..prec-1; prec is the tuple's length.  Coefficients are plain
+ints or ``fractions.Fraction`` values, and every kernel is exact.  A
+``Series`` is not a ring: its one product stays because perfbench's tracer
+patches it, and nothing ever pads precision with fabricated zeros.  The
+one change of shape is :func:`extract_progression`, which reads a
+progression out of a series.
 
 The two entry points that matter most are :func:`euler_product`, the
 sparse pentagonal-number expansion of (q^M; q^M)_inf, and
@@ -119,29 +119,6 @@ class Series(_Value):
 
     def nonzero_items(self):
         return [(n, c) for n, c in enumerate(self.coeffs) if c != 0]
-
-    def truncate(self, prec: int) -> "Series":
-        if prec > self.prec:
-            raise ValueError(f"cannot extend precision {self.prec} to {prec}")
-        return Series(self.coeffs[:prec])
-
-    def scale(self, scalar) -> "Series":
-        if scalar == 1:
-            return self
-        return Series([scalar * c for c in self.coeffs])
-
-    def __neg__(self):
-        return Series([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if not isinstance(other, Series):

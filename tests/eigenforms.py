@@ -39,7 +39,7 @@ from congruence_workbench.arith import PreconditionError, as_rational, format_ra
 from congruence_workbench.forms import EtaPowerSpec, eta_power
 from congruence_workbench.qseries import Series
 
-from oracles import eta_character_numerator, kronecker_symbol, primes_below
+from oracles import combine, eta_character_numerator, kronecker_symbol, primes_below
 
 
 class FormExpansion(NamedTuple):
@@ -342,7 +342,7 @@ def normalize_leading(f: Series) -> Series:
     """Divide by the first nonzero coefficient."""
     for c in f.coeffs:
         if c != 0:
-            return f.scale(Fraction(1) / c)
+            return combine((Fraction(1) / c, f))
     return f
 
 
@@ -368,21 +368,20 @@ def serre_components(d: int, prec: int) -> list[Series]:
     if d == 10:
         base = _sub12(eisenstein_series(4, e_prec), prec) * eta2
         eta10 = eta_power(10, prec)
-        return [base + eta10.scale(48), base - eta10.scale(48)]
+        return [combine((1, base), (s, eta10)) for s in (48, -48)]
     if d == 14:
         base = _sub12(eisenstein_series(6, e_prec), prec) * eta2
-        swing = eta_power(14, prec).scale(QuadRational(0, 360))
-        return [base + swing, base - swing]
+        eta14 = eta_power(14, prec)
+        return [combine((1, base), (QuadRational(0, s), eta14)) for s in (360, -360)]
     e6_12 = _sub12(eisenstein_series(6, e_prec), prec)
     base = e6_12 * e6_12 * eta2
     eta26 = eta_power(26, prec)
-    plus = eta26.scale(9398592)
-    minus = eta26.scale(6910272)
-    swing_a = (e6_12 * eta_power(14, prec)).scale(QuadRational(0, 102960))
-    swing_b = (_sub12(eisenstein_series(8, e_prec), prec) * eta_power(10, prec)).scale(20592)
+    e6_eta14 = e6_12 * eta_power(14, prec)
+    e8_eta10 = _sub12(eisenstein_series(8, e_prec), prec) * eta_power(10, prec)
+    swing = QuadRational(0, 102960)
     return [
-        base + plus + swing_a,
-        base + plus - swing_a,
-        base - minus + swing_b,
-        base - minus - swing_b,
+        combine((1, base), (9398592, eta26), (swing, e6_eta14)),
+        combine((1, base), (9398592, eta26), (-swing, e6_eta14)),
+        combine((1, base), (-6910272, eta26), (20592, e8_eta10)),
+        combine((1, base), (-6910272, eta26), (-20592, e8_eta10)),
     ]

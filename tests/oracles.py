@@ -65,6 +65,11 @@ def naive_product(a: list, b: list, prec: int) -> list:
     return out
 
 
+def combine(*terms) -> Series:
+    """The linear combination sum(c * f) of (scalar, Series) pairs, truncated to the shortest f."""
+    return Series(map(sum, zip(*([c * x for x in f.coeffs] for c, f in terms))))
+
+
 def binomial_series_power(coeffs: list[int], alpha: Fraction, prec: int) -> list[Fraction]:
     """(1 + h)^alpha truncated to prec terms, where coeffs = 1 + h and h(0) = 0.
 
@@ -228,7 +233,7 @@ def expected_denominator(b: int, n: int) -> int:
 def progression_fractions(claim, n_max: int) -> Series:
     """p_alpha(ell^e * n + r) for n <= n_max, each a reduced Fraction of the whole series."""
     series = frac_partition_series(claim.alpha, _precision(claim, n_max))
-    return extract_progression(series, claim.progression_modulus, claim.r).truncate(n_max + 1)
+    return Series(extract_progression(series, claim.progression_modulus, claim.r).coeffs[: n_max + 1])
 
 
 def _precision(claim, n_max: int) -> int:

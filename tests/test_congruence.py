@@ -709,7 +709,7 @@ class TestChecksAgainstFractionOracle:
                 sharpness_probe_by_fractions(forced, 6, values)
             assert got.value.index == want.value.index == 1
             assert sharpness_probe(forced, 0) is None
-            assert sharpness_probe_by_fractions(forced, 0, values.truncate(1)) is None
+            assert sharpness_probe_by_fractions(forced, 0, qseries.Series(values.coeffs[:1])) is None
 
     def test_verified_claim_builds_no_coefficient_fraction(self, monkeypatch):
         # qseries.series_pow_rational is where a coefficient becomes a Fraction

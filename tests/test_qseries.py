@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from math import gcd
@@ -23,6 +24,7 @@ from congruence_workbench import qseries
 from eigenforms import QuadRational
 from oracles import (
     binomial_series_power,
+    combine,
     expected_denominator,
     factorial_ord,
     naive_euler_product,
@@ -58,14 +60,15 @@ class TestRingOps:
     def test_min_precision_contract(self):
         f = euler_product(1, 30)
         g = euler_product(1, 50)
-        assert (f + g).prec == 30
-        assert (f - g).prec == 30
         assert (f * g).prec == 30
 
-    def test_add_sub_roundtrip(self):
-        f = euler_product(1, 40)
-        g = euler_product(2, 40)
-        assert (f + g) - g == f
+    def test_no_ring_but_the_traced_product(self):
+        # a Series is a coefficient tuple; oracles.combine forms linear combinations in the tests
+        for op in (lambda: Series([1, 2]) + Series([1, 2]), lambda: Series([1]) - Series([1]), lambda: -Series([1])):
+            with pytest.raises(TypeError):
+                op()
+        assert not hasattr(Series, "scale") and not hasattr(Series, "truncate")
+        assert "perfbench/tracer.py patches Series.__mul__" in inspect.getsource(Series.__mul__)
 
     def test_immutable(self):
         s = Series([1, 2])
@@ -459,7 +462,7 @@ class TestFrobeniusCongruence:
                 continue
             lhs = series_pow_rational(euler_product(1, prec), ell**r * alpha)
             rhs = series_pow_rational(euler_product(ell, prec), ell ** (r - 1) * alpha)
-            diff = lhs - rhs
+            diff = combine((1, lhs), (-1, rhs))
             for n in range(prec):
                 value = diff.coeff(n)
                 if value != 0:
