@@ -38,6 +38,7 @@ from .arith import (
     padic_ord,
 )
 from .qseries import (  # series_reduce_mod stays bound here: perfbench/tracer.py patches it
+    _refuse_non_integral,
     _Value,
     extract_progression,
     frac_partition_series,
@@ -350,8 +351,11 @@ def find_residues(d: int, ell: int, target_ord: int, count: int) -> list[int]:
     return out
 
 
-def _progression_residues(claim: CongruenceClaim, n_max: int, k: int, max_precision: int | None) -> tuple:
-    """The residues mod ell^k of p_alpha(ell^e * n + r) for 0 <= n <= n_max, from the ell-adic kernel."""
+def _first_hit(claim: CongruenceClaim, n_max: int, k: int, max_precision: int | None, hit) -> tuple:
+    """First n <= n_max whose residue mod ell^k of p_alpha(ell^e * n + r) satisfies ``hit``, and its value
+    as a Fraction, from the exact kernel run only that far; (None, None) if none.  Every refusal of the
+    whole range comes first.  The ell-adic kernel then reads n = 0 alone, where sharpness witnesses
+    mostly sit, and the rest of the range only when n = 0 is no hit."""
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
     prec = claim.progression_modulus * n_max + claim.r + 1
@@ -360,14 +364,14 @@ def _progression_residues(claim: CongruenceClaim, n_max: int, k: int, max_precis
             f"verifying {claim.describe()} to n_max = {n_max} needs series precision "
             f"{prec}, above the cap {max_precision}"
         )
-    residues = series_pow_residues(claim.alpha, claim.ell, k, prec)
-    return extract_progression(residues, claim.progression_modulus, claim.r).coeffs
-
-
-def _exact_value(claim: CongruenceClaim, n: int):
-    """p_alpha(ell^e * n + r) as a Fraction, from the exact kernel run only that far."""
-    index = claim.progression_modulus * n + claim.r
-    return frac_partition_series(claim.alpha, index + 1).coeff(index)
+    _refuse_non_integral(claim.alpha.denominator, claim.ell, prec)
+    for size in dict.fromkeys((claim.r + 1, prec)):  # n = 0 alone, then the range; one read if n_max = 0
+        residues = series_pow_residues(claim.alpha, claim.ell, k, size)
+        for n, residue in enumerate(extract_progression(residues, claim.progression_modulus, claim.r).coeffs):
+            if hit(residue):
+                index = claim.progression_modulus * n + claim.r
+                return n, frac_partition_series(claim.alpha, index + 1).coeff(index)
+    return None, None
 
 
 def verify_claim(
@@ -379,13 +383,11 @@ def verify_claim(
     and its ell-adic ord, the only Fraction built.  The hypotheses, ell not
     dividing the denominator of alpha among them, are the claim's to check.
     """
-    residues = _progression_residues(claim, n_max, claim.modulus_power, max_precision)
-    for n, residue in enumerate(residues):
-        if residue != 0:
-            value = _exact_value(claim, n)
-            counterexample = Counterexample(n=n, value=value, ord=padic_ord(value, claim.ell))
-            return VerificationReport(claim, n_max, VerificationStatus.COUNTEREXAMPLE, counterexample)
-    return VerificationReport(claim, n_max, VerificationStatus.VERIFIED_IN_RANGE)
+    n, value = _first_hit(claim, n_max, claim.modulus_power, max_precision, bool)
+    if n is None:
+        return VerificationReport(claim, n_max, VerificationStatus.VERIFIED_IN_RANGE)
+    counterexample = Counterexample(n=n, value=value, ord=padic_ord(value, claim.ell))
+    return VerificationReport(claim, n_max, VerificationStatus.COUNTEREXAMPLE, counterexample)
 
 
 def sharpness_probe(
@@ -399,12 +401,9 @@ def sharpness_probe(
     nonzero and divisible by ell^m; only the witness's value is built as a
     Fraction.  Like :func:`verify_claim`, it trusts the claim's hypotheses.
     """
-    residues = _progression_residues(claim, n_max, claim.modulus_power + 1, max_precision)
     mod = claim.ell**claim.modulus_power
-    for n, residue in enumerate(residues):
-        if residue and residue % mod == 0:
-            return SharpnessWitness(n=n, value=_exact_value(claim, n))
-    return None
+    n, value = _first_hit(claim, n_max, claim.modulus_power + 1, max_precision, lambda x: x != 0 and x % mod == 0)
+    return None if n is None else SharpnessWitness(n=n, value=value)
 
 
 def certificate_record(report: VerificationReport) -> dict:

@@ -28,7 +28,7 @@ from congruence_workbench.congruence import (
     sharpness_probe,
     verify_claim,
 )
-from congruence_workbench import qseries
+from congruence_workbench import congruence, qseries
 
 from eigenforms import a2_prime_power_sequence, find_w_by_search
 from oracles import (
@@ -473,6 +473,28 @@ class TestSharpness:
         # along 7n+5 the n = 0 value has ord 2, above the mod-7 claim's power
         claim = build_cw_claim(Fraction(-1, 8), 6, 7, 5)
         assert sharpness_probe(claim, 0) is None
+
+    def test_scan_reads_n_0_before_the_range(self, monkeypatch):
+        # the ell-adic kernel runs at precision r + 1 (n = 0 alone) first, and at the full
+        # precision only when n = 0 decides nothing; refusals of the whole range come before either
+        reads = []
+
+        def recording(alpha, ell, k, prec):
+            reads.append(prec)
+            return qseries.series_pow_residues(alpha, ell, k, prec)
+
+        monkeypatch.setattr(congruence, "series_pow_residues", recording)
+        claim = build_t1_claim(Fraction(-1, 8), 6, 7, 5)
+        for check, n_max, want in ((sharpness_probe, 20, [6]), (verify_claim, 20, [6, 986]), (verify_claim, 0, [6])):
+            reads.clear()
+            check(claim, n_max)
+            assert reads == want, (check.__name__, n_max)
+        reads.clear()
+        forged = _forced(build_cw_claim(-1, 4, 5, 4), alpha=Fraction(1, 5), r=0)
+        for check in (verify_claim, sharpness_probe):
+            with pytest.raises(NotLIntegralError):
+                check(forged, 3)
+        assert reads == []
 
 
 class TestCertificates:
